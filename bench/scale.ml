@@ -34,8 +34,9 @@ type row = {
   nodes : int;
   ops : int;
   seconds : float;
-  resident_words : int; (* live words after setup, before the run *)
-  words_per_node : float;
+  resident_words : int option;
+      (* live words after setup, before the run; [None] where the row
+         does not measure it — the field is then omitted, never zeroed *)
   extras : (string * float) list; (* workload-specific numeric fields *)
 }
 
@@ -107,8 +108,7 @@ let epidemic_run ?(obs = false) ~n ~seed () =
     nodes = n;
     ops = delivered;
     seconds = wall;
-    resident_words = resident;
-    words_per_node = Float.of_int resident /. Float.of_int n;
+    resident_words = Some resident;
     extras =
       ("coverage", Float.of_int !covered /. Float.of_int n)
       ::
@@ -166,8 +166,7 @@ let epidemic_par_run ~domains ~parts ~n ~seed () =
     nodes = n;
     ops = delivered;
     seconds = wall;
-    resident_words = resident;
-    words_per_node = Float.of_int resident /. Float.of_int n;
+    resident_words = Some resident;
     extras =
       [
         ("coverage", Float.of_int !covered /. Float.of_int n);
@@ -240,8 +239,7 @@ let chord_run ?(obs = false) ~n ~seed ~lookups () =
     nodes = n;
     ops = !completed;
     seconds = wall;
-    resident_words = resident;
-    words_per_node = Float.of_int resident /. Float.of_int n;
+    resident_words = Some resident;
     extras =
       [
         ("mean_hops", Sink.mean hops);
@@ -272,9 +270,16 @@ let write_json path rows =
         String.concat ""
           (List.map (fun (k, v) -> Printf.sprintf ", \"%s\": %.6f" k v) r.extras)
       in
+      let words =
+        match r.resident_words with
+        | Some w ->
+            Printf.sprintf ", \"resident_words\": %d, \"words_per_node\": %.1f" w
+              (Float.of_int w /. Float.of_int r.nodes)
+        | None -> ""
+      in
       Printf.fprintf oc
-        "    {\"name\": \"%s\", \"nodes\": %d, \"ops\": %d, \"seconds\": %.6f, \"ops_per_sec\": %.0f, \"resident_words\": %d, \"words_per_node\": %.1f%s}%s\n"
-        r.name r.nodes r.ops r.seconds (ops_per_sec r) r.resident_words r.words_per_node extras
+        "    {\"name\": \"%s\", \"nodes\": %d, \"ops\": %d, \"seconds\": %.6f, \"ops_per_sec\": %.0f%s%s}%s\n"
+        r.name r.nodes r.ops r.seconds (ops_per_sec r) words extras
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "  ]\n}\n";
@@ -291,7 +296,9 @@ let print_rows rows =
            string_of_int r.ops;
            Report.float_cell ~decimals:2 r.seconds;
            Report.float_cell ~decimals:0 (ops_per_sec r);
-           Report.float_cell ~decimals:0 r.words_per_node;
+           (match r.resident_words with
+           | Some w -> Report.float_cell ~decimals:0 (Float.of_int w /. Float.of_int r.nodes)
+           | None -> "-");
            String.concat " "
              (List.map (fun (k, v) -> Printf.sprintf "%s=%.4g" k v) r.extras);
          ])

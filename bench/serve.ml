@@ -75,8 +75,7 @@ let serve_row ~name ?mode scenario ~seed ~rate =
       (* wall includes overlay assembly + preload: the floors are about
          collapse, not peak request throughput *)
       seconds = wall;
-      resident_words = 0;
-      words_per_node = 0.0;
+      resident_words = None;
       extras = base @ web @ par;
     },
     r )

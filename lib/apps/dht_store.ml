@@ -75,8 +75,7 @@ let set_rtt_estimator t f = t.rtt_hint <- Some f
 
 let now t = Env.now t.env
 
-let replica_id t ~key i =
-  Crypto.hash_to_id (Printf.sprintf "%s#%d" key i) ~bits:(Pastry.config_of t.p).Pastry.bits
+let key_id t key = Crypto.hash_to_id key ~bits:(Pastry.config_of t.p).Pastry.bits
 
 (* Local (owner-side) operations, exposed over RPC. *)
 
@@ -89,11 +88,6 @@ let store_local t ~key ~value =
   (try Sandbox.alloc t.env.Env.sandbox (String.length value)
    with Sandbox.Violation _ -> ());
   Hashtbl.replace t.store key { value; refreshed_at = now t }
-
-(* Warm-start insertion for benches that place replicas directly from the
-   full membership instead of routing [replicas * keys] puts through the
-   overlay first. *)
-let preload t ~key ~value = store_local t ~key ~value
 
 let fetch_local t ~key =
   match Hashtbl.find_opt t.store key with
@@ -211,11 +205,18 @@ let queue_store t ~key ~value =
 
 (* {2 Client-side operations} *)
 
-(* Route to the owner of one replica and run an operation there. *)
-let with_owner t ~key i f =
-  match Pastry.lookup t.p (replica_id t ~key i) with
-  | None -> None
-  | Some (owner, _) -> f owner
+(* One route answers the whole replica set. *)
+let replicas t ~key =
+  match Pastry.lookup_set t.p (key_id t key) ~k:t.cfg.replicas with
+  | Some (set, _) -> set
+  | None -> []
+
+let warm_put stores ~key ~value =
+  let at n = stores.(n.Node.addr.Addr.host) in
+  let kid = key_id stores.(0) key in
+  let rec owner s = match Pastry.next_hop s.p kid with None -> s | Some n -> owner (at n) in
+  let o = owner stores.(0) in
+  List.iter (fun n -> store_local (at n) ~key ~value) (Pastry.replica_set o.p kid ~k:o.cfg.replicas)
 
 (* EWMA of observed fetch round-trips per host — the fallback latency
    estimate for power-of-two-choices when no coordinate hook is set. An
@@ -236,41 +237,34 @@ let estimate t addr =
 
 let put_r t ~key ~value =
   let acks = ref 0 and sheds = ref 0 in
-  for i = 0 to t.cfg.replicas - 1 do
-    ignore
-      (with_owner t ~key i (fun owner ->
-           if Node.equal owner (Pastry.self_node t.p) then begin
-             store_local t ~key ~value;
-             incr acks;
-             Some ()
-           end
-           else
-             match
-               Rpc.a_call t.env owner.Node.addr ~timeout:t.cfg.rpc_timeout "kv.store"
-                 [ Codec.String key; Codec.String value ]
-             with
-             | Ok (Codec.Bool false) ->
-                 (* shed by admission control: no ack, but the owner is
-                    healthy — do not feed the failure detector *)
-                 incr sheds;
-                 None
-             | Ok _ ->
-                 incr acks;
-                 Some ()
-             | Error _ ->
-                 Pastry.report_failure t.p owner;
-                 None))
-  done;
+  List.iter
+    (fun owner ->
+      if Node.equal owner (Pastry.self_node t.p) then begin
+        store_local t ~key ~value;
+        incr acks
+      end
+      else
+        match
+          Rpc.a_call t.env owner.Node.addr ~timeout:t.cfg.rpc_timeout "kv.store"
+            [ Codec.String key; Codec.String value ]
+        with
+        | Ok (Codec.Bool false) ->
+            (* shed by admission control: no ack, but the owner is
+               healthy — do not feed the failure detector *)
+            incr sheds
+        | Ok _ -> incr acks
+        | Error _ -> Pastry.report_failure t.p owner)
+    (replicas t ~key);
   (!acks, !sheds)
 
 let put t ~key ~value = fst (put_r t ~key ~value)
 
-(* Fetch from one resolved owner. A shed reply arrives fast but signals
-   overload: it is penalized in the EWMA by a full SLO budget so
-   power-of-two-choices steers the next draws away from the hot node. *)
-let fetch_from_r t ~key owner =
-  if Node.equal owner (Pastry.self_node t.p) then
-    match fetch_local t ~key with Some v -> `Value v | None -> `Miss
+(* Fetch from one replica. A shed reply arrives fast but signals
+   overload: it sets [shed] and is penalized in the EWMA by a full SLO
+   budget so power-of-two-choices steers the next draws away from the
+   hot node. *)
+let fetch_from t ~key ~shed owner =
+  if Node.equal owner (Pastry.self_node t.p) then fetch_local t ~key
   else begin
     let t0 = now t in
     match
@@ -279,98 +273,67 @@ let fetch_from_r t ~key owner =
     with
     | Ok (Codec.String v) ->
         observe_rtt t owner.Node.addr (now t -. t0);
-        `Value v
+        Some v
     | Ok (Codec.Bool false) ->
         observe_rtt t owner.Node.addr (now t -. t0 +. t.cfg.slo_budget);
-        `Shed
+        shed := true;
+        None
     | Ok _ ->
         observe_rtt t owner.Node.addr (now t -. t0);
-        `Miss
+        None
     | Error _ ->
         Pastry.report_failure t.p owner;
-        `Miss
+        None
   end
 
 let get_r t ~key =
-  let r = t.cfg.replicas in
   (* a shed anywhere along the fallback chain marks the final verdict:
      "no value" because of overload reads differently from a clean miss *)
   let shed = ref false in
-  let fetch_from t ~key owner =
-    match fetch_from_r t ~key owner with
-    | `Value v -> Some v
-    | `Shed ->
-        shed := true;
-        None
-    | `Miss -> None
+  let set = Array.of_list (replicas t ~key) in
+  let r = Array.length set in
+  let all = List.init r Fun.id in
+  (* p2c samples two distinct members and tries the estimated-closer /
+     less-loaded one first; the fallback walks the rest of the set in
+     order, with no further routing *)
+  let order =
+    if t.cfg.p2c && r >= 2 then begin
+      let i = Rng.int t.c_rng r in
+      let j = (i + 1 + Rng.int t.c_rng (r - 1)) mod r in
+      let est x =
+        if Node.equal set.(x) (Pastry.self_node t.p) then 0.0 else estimate t set.(x).Node.addr
+      in
+      let first, second = if est j < est i then (j, i) else (i, j) in
+      first :: second :: List.filter (fun x -> x <> i && x <> j) all
+    end
+    else all
   in
-  (* sequential fallback over replicas not yet tried *)
-  let rec scan i tried =
-    if i >= r then None
-    else if List.mem i tried then scan (i + 1) tried
-    else
-      match with_owner t ~key i (fun owner -> fetch_from t ~key owner) with
-      | Some v -> Some v
-      | None -> scan (i + 1) tried
-  in
-  let verdict = function
-    | Some v -> `Value v
-    | None -> if !shed then `Shed else `Miss
-  in
-  verdict
-  @@
-  if t.cfg.p2c && r >= 2 then begin
-    (* sample two distinct replicas, resolve their owners, fetch from the
-       estimated-closer / less-loaded one first *)
-    let i = Rng.int t.c_rng r in
-    let j = (i + 1 + Rng.int t.c_rng (r - 1)) mod r in
-    let resolve i = with_owner t ~key i (fun o -> Some o) in
-    match (resolve i, resolve j) with
-    | Some a, Some b -> (
-        let est n =
-          if Node.equal n (Pastry.self_node t.p) then 0.0 else estimate t n.Node.addr
-        in
-        let first, second = if est b < est a then (b, a) else (a, b) in
-        match fetch_from t ~key first with
-        | Some v -> Some v
-        | None -> (
-            match fetch_from t ~key second with
-            | Some v -> Some v
-            | None -> scan 0 [ i; j ]))
-    | Some a, None -> (
-        match fetch_from t ~key a with Some v -> Some v | None -> scan 0 [ i ])
-    | None, Some b -> (
-        match fetch_from t ~key b with Some v -> Some v | None -> scan 0 [ j ])
-    | None, None -> scan 0 [ i; j ]
-  end
-  else scan 0 []
+  match List.find_map (fun x -> fetch_from t ~key ~shed set.(x)) order with
+  | Some v -> `Value v
+  | None -> if !shed then `Shed else `Miss
 
 let get t ~key = match get_r t ~key with `Value v -> Some v | `Shed | `Miss -> None
 
 let delete t ~key =
   let acks = ref 0 in
-  for i = 0 to t.cfg.replicas - 1 do
-    ignore
-      (with_owner t ~key i (fun owner ->
-           if Node.equal owner (Pastry.self_node t.p) then begin
-             delete_local t ~key;
-             incr acks;
-             Some ()
-           end
-           else
-             match
-               Rpc.a_call t.env owner.Node.addr ~timeout:t.cfg.rpc_timeout "kv.delete"
-                 [ Codec.String key ]
-             with
-             | Ok _ ->
-                 incr acks;
-                 Some ()
-             | Error _ -> None))
-  done;
+  List.iter
+    (fun owner ->
+      if Node.equal owner (Pastry.self_node t.p) then begin
+        delete_local t ~key;
+        incr acks
+      end
+      else
+        match
+          Rpc.a_call t.env owner.Node.addr ~timeout:t.cfg.rpc_timeout "kv.delete"
+            [ Codec.String key ]
+        with
+        | Ok _ -> incr acks
+        | Error _ -> ())
+    (replicas t ~key);
   !acks
 
-(* Republish: push every held entry back towards the current owners of its
-   replicas; drop entries nobody has refreshed within the TTL. The churned
+(* Republish: push every held entry back to its key's current replica
+   set; drop entries nobody has refreshed within the TTL. The churned
    ring converges to holding each value at its live owners. *)
 let republish t =
   let entries = Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.store [] in
@@ -382,6 +345,9 @@ let republish t =
     entries
 
 let create ?(config = default_config) p =
+  let most = ((Pastry.config_of p).Pastry.leaf_size / 2) + 1 in
+  if config.replicas < 1 || config.replicas > most then
+    invalid_arg (Printf.sprintf "Dht_store.create: replicas must be within 1..%d" most);
   let env = Pastry.node_env p in
   let t =
     {

@@ -1,12 +1,12 @@
 (** A replicated key-value store on Pastry — the "indexing service based on
     a DHT" of the paper's long-running-application use case (§1, §3.2).
 
-    Replication is by salted keys: replica [i] of a key lives at the Pastry
-    owner of [hash(key # i)], so the [replicas] copies land on unrelated
-    nodes and a reader can fall back from one replica to the next without
-    knowing anyone's leafset. Storing nodes republish their entries
-    periodically, so data migrates to new owners as the ring churns and
-    expires when every holder is gone longer than the republish TTL.
+    Replication follows PAST (Rowstron & Druschel): a key's [replicas]
+    copies live on the nodes numerically closest to [hash(key)], so one
+    route ({!Pastry.lookup_set}) finds them all and a reader falls back
+    from one to the next without routing again. Storing nodes republish their entries periodically, so data
+    migrates to the new closest nodes as the ring churns and expires when
+    every holder is gone longer than the republish TTL.
 
     {2 Serving fast path}
 
@@ -18,8 +18,8 @@
 
     - [batching]: concurrent gets for the same key coalesce into one
       service slot, with the reply fanned out to every waiter;
-    - [p2c]: {!get} samples two of the replica owners and reads from the
-      estimated-closer / less-loaded one (a coordinate hook via
+    - [p2c]: {!get} samples two members of the replica set its one route
+      returned and reads from the estimated-closer / less-loaded one (a coordinate hook via
       {!set_rtt_estimator} when available, else an EWMA of observed fetch
       round-trips, with shed replies penalized by a full SLO budget);
     - [admission]: owners shed at enqueue time — a token bucket caps the
@@ -32,7 +32,7 @@
     original direct-call behaviour, bit for bit. *)
 
 type config = {
-  replicas : int; (** copies kept (default 3) *)
+  replicas : int; (** copies kept (default 3, at most [leaf_size/2 + 1]) *)
   republish_interval : float; (** default 30 s; [<= 0] disables republish *)
   entry_ttl : float; (** entries not republished for this long expire (default 120 s) *)
   rpc_timeout : float;
@@ -74,13 +74,11 @@ val get_r : t -> key:string -> [ `Value of string | `Miss | `Shed ]
 val delete : t -> key:string -> int
 (** Remove from all reachable replicas; returns acknowledgements. *)
 
-val replica_id : t -> key:string -> int -> int
-(** The overlay id replica [i] of [key] lives at — exposed so warm-start
-    harnesses can place data without routing through the overlay. *)
-
-val preload : t -> key:string -> value:string -> unit
-(** Insert directly into this node's local store (no routing, no
-    replication): benchmark warm start for assembled overlays. *)
+val warm_put : t array -> key:string -> value:string -> unit
+(** Benchmark warm start: store the value where a routed {!put} lands —
+    {!Pastry.replica_set} at the owner reached by following
+    {!Pastry.next_hop} from [stores.(0)] — with no network traffic and
+    no simulated time. [stores.(i)] must be the instance at host [i]. *)
 
 val stored_entries : t -> int
 (** Entries this node currently holds (observability). *)

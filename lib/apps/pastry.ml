@@ -202,41 +202,60 @@ let decide ?(excluded = []) t key =
         | cands -> Forward (closest_among t key cands))
   end
 
+(* The one replica-placement rule: routing answers it at delivery and
+   warm starts read it off the owner directly. *)
+let replica_set t key ~k =
+  let d n = (dist t n.Node.id key, n.Node.id) in
+  t.self :: Misc.take (k - 1) (List.sort_uniq (fun a b -> compare (d a) (d b)) (leafset t))
+
 let max_hops = 64
 
-(* Route one message, retrying alternates as next hops fail. *)
-let rec route t key ~hops =
+(* Route one message, retrying alternates as next hops fail. The owner
+   answers its [replica_set]. A [k = 1] route (a plain lookup) sends no
+   [k] and is answered with the owner alone. *)
+let rec route t key ~k ~hops =
   if hops > max_hops then None
   else begin
-    let rec attempts k excluded =
-      if k = 0 then None
+    let args = [ Codec.Int key; Codec.Int (hops + 1) ] @ if k = 1 then [] else [ Codec.Int k ] in
+    let rec attempts n excluded =
+      if n = 0 then None
       else
         match decide t ~excluded key with
-        | Deliver -> Some (t.self, hops)
-        | Forward n -> (
-            match acall t n "p.route" [ Codec.Int key; Codec.Int (hops + 1) ] with
+        | Deliver -> Some (replica_set t key ~k, hops)
+        | Forward nx -> (
+            match acall t nx "p.route" args with
             | Ok v -> (
+                let h () = Codec.to_int (Codec.member "hops" v) in
                 match Codec.member "node" v with
-                | Codec.Null -> attempts (k - 1) (n :: excluded)
-                | nv -> Some (Node.of_value nv, Codec.to_int (Codec.member "hops" v)))
-            | Error () -> attempts (k - 1) (n :: excluded))
+                | Codec.Null -> attempts (n - 1) (nx :: excluded)
+                | Codec.List l -> Some (List.map Node.of_value l, h ())
+                | nv -> Some ([ Node.of_value nv ], h ()))
+            | Error () -> attempts (n - 1) (nx :: excluded))
     in
     attempts 6 []
   end
 
 and handle_route t args =
-  match args with
-  | [ key; hops ] -> (
-      if t.cfg.per_hop_overhead > 0.0 then begin
-        let m = Testbed.service_mult (Net.testbed t.env.Env.net) t.self.Node.addr.Addr.host in
-        Env.sleep (t.cfg.per_hop_overhead *. m)
-      end;
-      match route t (Codec.to_int key) ~hops:(Codec.to_int hops) with
-      | Some (n, h) -> Codec.Assoc [ ("node", Node.to_value n); ("hops", Codec.Int h) ]
-      | None -> Codec.Assoc [ ("node", Codec.Null); ("hops", Codec.Int 0) ])
-  | _ -> failwith "p.route: bad arguments"
+  let key, hops, k =
+    match args with
+    | [ key; hops ] -> (key, hops, 1)
+    | [ key; hops; k ] -> (key, hops, Codec.to_int k)
+    | _ -> failwith "p.route: bad arguments"
+  in
+  if t.cfg.per_hop_overhead > 0.0 then begin
+    let m = Testbed.service_mult (Net.testbed t.env.Env.net) t.self.Node.addr.Addr.host in
+    Env.sleep (t.cfg.per_hop_overhead *. m)
+  end;
+  match route t (Codec.to_int key) ~k ~hops:(Codec.to_int hops) with
+  | Some (set, h) ->
+      let node =
+        match set with [ n ] -> Node.to_value n | l -> Codec.List (List.map Node.to_value l)
+      in
+      Codec.Assoc [ ("node", node); ("hops", Codec.Int h) ]
+  | None -> Codec.Assoc [ ("node", Codec.Null); ("hops", Codec.Int 0) ]
 
-let lookup t key = route t key ~hops:0
+let lookup_set t key ~k = route t key ~k ~hops:0
+let lookup t key = Option.map (fun (set, h) -> (List.hd set, h)) (lookup_set t key ~k:1)
 
 (* Join: the request travels from the bootstrap node towards the
    newcomer's id; every hop contributes its leafset and the table rows the

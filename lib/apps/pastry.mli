@@ -55,6 +55,16 @@ val lookup : node -> int -> (Node.t * int) option
 (** Route to the node responsible for the key (numerically closest id).
     [Some (owner, hops)], [None] when routing broke down. Blocking. *)
 
+val lookup_set : node -> int -> k:int -> (Node.t list * int) option
+(** {!lookup} answering the owner's {!replica_set}: one route finds all
+    [k] replicas. [lookup] is the [k = 1] case. Blocking. *)
+
+val replica_set : node -> int -> k:int -> Node.t list
+(** This node, then the [k - 1] leafset members numerically closest to
+    the key (ties to the lower id): at the key's owner on a converged
+    ring, the [k] nodes closest to the key while [k - 1 <= leaf_size/2]
+    — PAST's replica placement. Pure (no network). *)
+
 val digits : config -> int
 (** Rows in the routing table ([bits / b]). *)
 

@@ -500,11 +500,12 @@ let epidemic_run ~seed ~nemesis ~perturb =
 
    Pastry with Dht_store layered on top, a single writer bumping one
    version per key per round while crashes and partitions land, then a
-   quiescent read-back. Replication (3 copies at salted owners) plus
-   republish-driven migration is what the oracles hold to account: a
-   read may be stale (an old version from a lagging replica) but never
-   fabricated, and an acknowledged key may be lost only rarely — a crash
-   can eat at most one wave of replicas before republish re-spreads it. *)
+   quiescent read-back. Replication (3 copies on the nodes closest to the
+   key) plus republish-driven migration is what the oracles hold to
+   account: a read may be stale (an old version from a lagging replica)
+   but never fabricated, and an acknowledged key may be lost only rarely
+   — a crash can eat at most one wave of replicas before republish
+   re-spreads it. *)
 
 let dht_store_nodes = 16
 let dht_store_keys = 10

@@ -124,8 +124,7 @@ let run ?(mode = Seq) scenario ~seed ~rate =
     | Some f -> (None, fun i -> Fabric.net_of_host f i)
   in
   let pcfg = Pastry.default_config in
-  let md = Misc.pow2 pcfg.Pastry.bits in
-  let spacing = max 1 (md / n) in
+  let spacing = max 1 (Misc.pow2 pcfg.Pastry.bits / n) in
   let ring = Array.init n (fun i -> Node.make ~id:(i * spacing) ~addr:(Addr.make i 9000)) in
   let envs = Array.init n (fun i -> Env.create (net_of i) ~me:ring.(i).Node.addr) in
   let pastries = Array.make n None in
@@ -180,27 +179,14 @@ let run ?(mode = Seq) scenario ~seed ~rate =
         in
         Bweb (Array.init n (fun i -> Webcache.create ~config:cfg (pastry i)))
   in
-  (* Warm start the data: place each replica at its owner directly from
-     the shared membership — routing keys*replicas puts through the
-     overlay first would dominate a 100k-node step's wall time. *)
+  (* Warm start the data at its replica sets, found without routing —
+     routing [keys] puts through the overlay first would dominate a
+     100k-node step's wall time. Store [i] sits at address host [i]. *)
   (match backend with
   | Bdht stores ->
       let value = String.make scenario.load.Load.value_size 'v' in
-      let dist a b =
-        let cw = (b - a + md) mod md in
-        min cw (md - cw)
-      in
-      let owner rid =
-        let j = min (rid / spacing) (n - 1) in
-        let k = (j + 1) mod n in
-        if dist ring.(j).Node.id rid <= dist ring.(k).Node.id rid then j else k
-      in
       for kk = 1 to scenario.load.Load.keys do
-        let key = "k" ^ Int.to_string kk in
-        for i = 0 to scenario.replicas - 1 do
-          let rid = Dht_store.replica_id stores.(0) ~key i in
-          Dht_store.preload stores.(owner rid) ~key ~value
-        done
+        Dht_store.warm_put stores ~key:("k" ^ Int.to_string kk) ~value
       done
   | Bweb _ -> ());
   let part_of i = match fab with None -> 0 | Some f -> Fabric.part_of f i in

@@ -908,14 +908,14 @@ let test_vivaldi_predicts_rtts () =
 
 let dht_platform n f =
   with_platform ~hosts:12 (fun eng net ctl ->
-      let stores = ref [] in
+      let members = ref [] in
       let config = { pastry_test_config with bits = 16 } in
       let kv_config =
         { Apps.Dht_store.default_config with republish_interval = 10.0; entry_ttl = 3600.0; rpc_timeout = 3.0 }
       in
       let main env =
         Apps.Pastry.app ~config
-          ~register:(fun p -> stores := Apps.Dht_store.create ~config:kv_config p :: !stores)
+          ~register:(fun p -> members := (p, Apps.Dht_store.create ~config:kv_config p) :: !members)
           env
       in
       let dep =
@@ -923,13 +923,26 @@ let dht_platform n f =
           (Descriptor.make ~bootstrap:(Descriptor.Head 1) n)
       in
       Env.sleep (Float.of_int n *. 0.3 +. 120.0);
-      f eng net ctl dep !stores)
+      f eng net ctl dep !members)
 
 let test_dht_put_get_roundtrip () =
-  dht_platform 16 (fun _ _ _ _ stores ->
+  dht_platform 16 (fun _ _ _ _ members ->
+      let stores = List.map snd members in
       let writer = List.hd stores and reader = List.nth stores 9 in
       let acks = Apps.Dht_store.put writer ~key:"alpha" ~value:"42" in
       Alcotest.(check int) "all replicas stored" 3 acks;
+      (* PAST placement: the holders are the 3 live ids closest to the key *)
+      let kid = Crypto.hash_to_id "alpha" ~bits:16 in
+      let d id = min (Misc.ring_distance id kid ~modulus:65536) (Misc.ring_distance kid id ~modulus:65536) in
+      let ids = List.map (fun (p, _) -> Apps.Pastry.id p) members in
+      let closest = Misc.take 3 (List.sort (fun a b -> compare (d a, a) (d b, b)) ids) in
+      let holders =
+        List.filter_map
+          (fun (p, s) -> if Apps.Dht_store.stored_entries s > 0 then Some (Apps.Pastry.id p) else None)
+          members
+      in
+      Alcotest.(check (list int)) "holders are the 3 ids closest to the key"
+        (List.sort compare closest) (List.sort compare holders);
       Alcotest.(check (option string)) "read from another node" (Some "42")
         (Apps.Dht_store.get reader ~key:"alpha");
       Alcotest.(check (option string)) "missing key" None
@@ -943,7 +956,8 @@ let test_dht_put_get_roundtrip () =
       Alcotest.(check bool) (Printf.sprintf "replicas spread (%d holders)" holders) true (holders >= 2))
 
 let test_dht_survives_owner_crashes () =
-  dht_platform 20 (fun _ _ _ dep stores ->
+  dht_platform 20 (fun _ _ _ dep members ->
+      let stores = List.map snd members in
       let writer = List.hd stores in
       for i = 0 to 19 do
         ignore (Apps.Dht_store.put writer ~key:(Printf.sprintf "k%d" i) ~value:(Printf.sprintf "v%d" i))
@@ -960,13 +974,14 @@ let test_dht_survives_owner_crashes () =
         | Some v when v = Printf.sprintf "v%d" i -> incr found
         | _ -> ()
       done;
-      (* with 3 salted replicas on a 20-node ring, a couple of keys can
-         land all their replicas on crashed nodes (or on one another) *)
+      (* each key's 3 replicas are ring neighbours, so crashing every
+         fourth member can take out a whole replica set before republish
+         re-spreads it *)
       Alcotest.(check bool) (Printf.sprintf "data survives crashes (%d/20)" !found) true (!found >= 17))
 
 let test_dht_delete () =
-  dht_platform 12 (fun _ _ _ _ stores ->
-      let s = List.hd stores in
+  dht_platform 12 (fun _ _ _ _ members ->
+      let s = snd (List.hd members) in
       ignore (Apps.Dht_store.put s ~key:"gone" ~value:"soon");
       Alcotest.(check bool) "present" true (Apps.Dht_store.get s ~key:"gone" <> None);
       let acks = Apps.Dht_store.delete s ~key:"gone" in
@@ -974,8 +989,8 @@ let test_dht_delete () =
       Alcotest.(check (option string)) "gone" None (Apps.Dht_store.get s ~key:"gone"))
 
 let test_dht_data_migrates_on_join () =
-  dht_platform 10 (fun _ _ _ dep stores ->
-      let s = List.hd stores in
+  dht_platform 10 (fun _ _ _ dep members ->
+      let s = snd (List.hd members) in
       for i = 0 to 9 do
         ignore (Apps.Dht_store.put s ~key:(Printf.sprintf "m%d" i) ~value:"x")
       done;
@@ -990,6 +1005,80 @@ let test_dht_data_migrates_on_join () =
         if Apps.Dht_store.get s ~key:(Printf.sprintf "m%d" i) = Some "x" then incr ok
       done;
       Alcotest.(check int) "all keys readable after joins" 10 !ok)
+
+(* An assembled (warm) ring of [n] stores, member [i] at address host [i]. *)
+let assembled_stores ?(p2c = false) n =
+  let eng = Engine.create ~seed:41 () in
+  let net = Net.create eng (Testbed.synthetic ~hosts:n (Engine.rng eng)) in
+  let spacing = Misc.pow2 32 / n in
+  let ring = Array.init n (fun i -> Apps.Node.make ~id:(i * spacing) ~addr:(Addr.make i 9000)) in
+  let envs = Array.map (fun nd -> Env.create net ~me:nd.Apps.Node.addr) ring in
+  let pastries = Array.make n None in
+  Array.iteri
+    (fun i env -> Apps.Pastry.assemble ~ring ~index:i ~register:(fun p -> pastries.(i) <- Some p) env)
+    envs;
+  let config = { Apps.Dht_store.default_config with republish_interval = 0.0; p2c } in
+  (eng, envs, Array.map (fun p -> Apps.Dht_store.create ~config (Option.get p)) pastries, pastries)
+
+(* One route per operation: a get (p2c or not) costs the route plus one
+   fetch, a put or delete the route plus one call per replica. The route's
+   own cost is measured by routing to the key's replica set directly. *)
+let test_dht_one_route_per_op () =
+  let n = 200 and k = 3 in
+  let count = ref 0 in
+  List.iter
+    (fun p2c ->
+      let eng, envs, stores, pastries = assembled_stores ~p2c n in
+      let calls () = Array.fold_left (fun a e -> a + Rpc.calls_issued e) 0 envs in
+      let cost f =
+        let c0 = calls () in
+        f ();
+        calls () - c0
+      in
+      let gw = Option.get pastries.(0) in
+      ignore
+        (Env.thread envs.(0) (fun () ->
+             for i = 1 to 30 do
+               let key = Printf.sprintf "key%d" i in
+               let kid = Crypto.hash_to_id key ~bits:32 in
+               let set = ref [] in
+               let route =
+                 cost (fun () ->
+                     set := fst (Option.get (Apps.Pastry.lookup_set gw kid ~k)))
+               in
+               (* the gateway is not a replica: every replica call is remote *)
+               if not (List.exists (Apps.Node.equal (Apps.Pastry.self_node gw)) !set) then begin
+                 incr count;
+                 Alcotest.(check int) "put: one route plus k stores" (route + k)
+                   (cost (fun () -> ignore (Apps.Dht_store.put stores.(0) ~key ~value:"v")));
+                 Alcotest.(check int)
+                   (Printf.sprintf "get (p2c %b): one route plus one fetch" p2c)
+                   (route + 1)
+                   (cost (fun () ->
+                        Alcotest.(check (option string)) "read back" (Some "v")
+                          (Apps.Dht_store.get stores.(0) ~key)));
+                 Alcotest.(check int) "delete: one route plus k deletes" (route + k)
+                   (cost (fun () -> ignore (Apps.Dht_store.delete stores.(0) ~key)))
+               end
+             done));
+      ignore (Engine.run eng);
+      (* a failed check inside the fiber surfaces as a crashed process *)
+      match Engine.crashed eng with [] -> () | (_, e) :: _ -> raise e)
+    [ false; true ];
+  Alcotest.(check bool) "keys exercised" true (!count > 40);
+  (* a replica set larger than owner + one leafset half cannot be found *)
+  let _, _, _, pastries = assembled_stores 20 in
+  let half = Apps.Pastry.default_config.Apps.Pastry.leaf_size / 2 in
+  List.iter
+    (fun replicas ->
+      match
+        Apps.Dht_store.create
+          ~config:{ Apps.Dht_store.default_config with replicas }
+          (Option.get pastries.(0))
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "replicas = %d accepted" replicas)
+    [ 0; half + 2 ]
 
 let () =
   Alcotest.run "splay_apps"
@@ -1043,5 +1132,6 @@ let () =
           Alcotest.test_case "survives owner crashes" `Quick test_dht_survives_owner_crashes;
           Alcotest.test_case "delete" `Quick test_dht_delete;
           Alcotest.test_case "data migrates on join" `Quick test_dht_data_migrates_on_join;
+          Alcotest.test_case "one route per operation" `Quick test_dht_one_route_per_op;
         ] );
     ]

@@ -154,6 +154,19 @@ let test_pinned_chord_ft_survives () =
   let o = Runner.run_one ~suite:ft ~seed:1 ~nemesis:pinned_nemesis ~perturb:true () in
   Alcotest.(check bool) "ft chord passes" false (Suite.failed o)
 
+(* The dht-store oracle has teeth: crash 13 of the 16 members after the
+   last write round (the four rounds span about 48 s) and most keys lose
+   their whole replica set — three ring neighbours — before republish can
+   move them. [dht.no-lost] must fire as a violation; the run must not crash. *)
+let pinned_dht_nemesis = Nemesis.parse "crash 13 @ 52"
+
+let test_pinned_dht_loss () =
+  let dht = find_suite "dht-store" in
+  let o = Runner.run_one ~suite:dht ~seed:1 ~nemesis:pinned_dht_nemesis ~perturb:true () in
+  Alcotest.(check bool) "violations, not crashes" true (o.Suite.o_crashes = []);
+  let names = List.map (fun v -> v.Invariant.v_name) o.Suite.o_violations in
+  Alcotest.(check (list string)) "the loss oracle fires" [ "dht.no-lost" ] names
+
 let test_replay_determinism () =
   let chord = find_suite "chord" in
   let run () = Runner.run_one ~suite:chord ~seed:1 ~nemesis:pinned_nemesis ~perturb:true () in
@@ -231,6 +244,7 @@ let () =
         [
           Alcotest.test_case "pinned chord bug" `Quick test_pinned_chord_bug;
           Alcotest.test_case "pinned chord-ft survives" `Quick test_pinned_chord_ft_survives;
+          Alcotest.test_case "pinned dht-store loss" `Quick test_pinned_dht_loss;
           Alcotest.test_case "replay determinism" `Quick test_replay_determinism;
           Alcotest.test_case "nemesis_for pure" `Quick test_nemesis_for_is_pure;
           Alcotest.test_case "sweep jobs-independent" `Quick test_sweep_jobs_independent;

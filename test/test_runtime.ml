@@ -651,28 +651,6 @@ let test_rpc_notify_one_way () =
       ignore (Engine.run eng);
       Alcotest.(check (list int)) "drop left state untouched" [ 1; 2 ] (List.rev !got))
 
-(* The pre-unification spellings stay callable (the alert is deliberately
-   silenced here — this test is what keeps the aliases honest) and answer
-   exactly like the primary names they forward to. *)
-let test_rpc_deprecated_aliases_compat () =
-  with_cluster (fun eng net ->
-      let server_env = mk_env net 0 in
-      let client_env = mk_env net 1 in
-      Rpc.server server_env [ ("id", fun args -> List.hd args) ];
-      let via_alias = ref 0 and via_primary = ref 0 and pinged = ref false in
-      let opts = { Rpc.default_options with timeout = 2.0 } in
-      ignore
-        (Env.thread client_env (fun () ->
-             let old = (Rpc.call_opt [@ocaml.alert "-deprecated"]) in
-             via_alias := Codec.to_int (old client_env server_env.Env.me ~options:opts "id" [ Codec.Int 7 ]);
-             via_primary :=
-               Codec.to_int (Rpc.call client_env server_env.Env.me ~options:opts "id" [ Codec.Int 7 ]);
-             let old_ping = (Rpc.ping_opt [@ocaml.alert "-deprecated"]) in
-             pinged := old_ping client_env ~options:(Rpc.with_timeout 2.0) server_env.Env.me));
-      ignore (Engine.run eng);
-      Alcotest.(check int) "alias = primary" !via_primary !via_alias;
-      Alcotest.(check bool) "ping alias works" true !pinged)
-
 let test_message_loss_forces_timeout () =
   with_cluster (fun eng net ->
       Net.set_loss net 1.0;
@@ -1027,7 +1005,6 @@ let () =
           Alcotest.test_case "concurrent calls" `Quick test_rpc_concurrent_calls;
           Alcotest.test_case "re-registration last wins" `Quick test_rpc_reregistration_last_wins;
           Alcotest.test_case "notify one-way" `Quick test_rpc_notify_one_way;
-          Alcotest.test_case "deprecated aliases compat" `Quick test_rpc_deprecated_aliases_compat;
           Alcotest.test_case "loss forces timeout" `Quick test_message_loss_forces_timeout;
         ] );
       ( "log",

@@ -6,10 +6,19 @@
    criteria require: byte-identical result lines across Pool --jobs and
    across parallel-engine worker-domain counts. *)
 
+open Splay_net
 module Dpool = Splay_sim.Dpool
 module Pool = Splay_sim.Pool
 module Load = Splay_serve.Load
 module Harness = Splay_serve.Harness
+module Engine = Splay_sim.Engine
+module Rng = Splay_sim.Rng
+module Env = Splay_runtime.Env
+module Misc = Splay_runtime.Misc
+module Crypto = Splay_runtime.Crypto
+module Node = Splay_apps.Node
+module Pastry = Splay_apps.Pastry
+module Dht_store = Splay_apps.Dht_store
 
 (* {2 Load.client_span} *)
 
@@ -58,8 +67,7 @@ let test_harness_accounting () =
   Alcotest.(check bool) "latencies positive" true (r.Harness.p50 > 0.0);
   Alcotest.(check bool) "quantiles ordered" true
     (r.Harness.p50 <= r.Harness.p99 && r.Harness.p99 <= r.Harness.p999);
-  Alcotest.(check bool) "gets mostly hit the preloaded keys" true
-    (r.Harness.ok > r.Harness.offered / 2);
+  Alcotest.(check int) "every get finds its preloaded key" 0 r.Harness.misses;
   Alcotest.(check int) "no stale serves" 0 r.Harness.stale
 
 let test_harness_web_target () =
@@ -84,6 +92,54 @@ let test_harness_web_target () =
     (on.Harness.origin < off.Harness.origin);
   Alcotest.(check int) "without coalescing every miss fetches" 0 off.Harness.batched;
   Alcotest.(check bool) "coalesced waiters counted" true (on.Harness.batched > 0)
+
+(* {2 Warm start places data where routing looks for it} *)
+
+(* On a 1k-node assembled ring, [Dht_store.warm_put] (the harness's warm
+   start) and a routed put agree on every key's replica set, and both are
+   the 3 ring members closest to the key. Holders are read off
+   [stored_entries]: a warm put adds exactly one entry at each replica, a
+   routed put of the same key only overwrites. *)
+let test_warm_start_matches_routing () =
+  let n = 1_000 and keys = 200 in
+  let md = Misc.pow2 32 in
+  let eng = Engine.create ~seed:5 () in
+  let net = Net.create eng (Testbed.synthetic ~hosts:n (Engine.rng eng)) in
+  let ring = Array.init n (fun i -> Node.make ~id:(i * (md / n)) ~addr:(Addr.make i 9000)) in
+  let envs = Array.map (fun nd -> Env.create net ~me:nd.Node.addr) ring in
+  let pastries = Array.make n None in
+  Array.iteri
+    (fun i env -> Pastry.assemble ~ring ~index:i ~register:(fun p -> pastries.(i) <- Some p) env)
+    envs;
+  let config = { Dht_store.default_config with republish_interval = 0.0 } in
+  let stores = Array.map (fun p -> Dht_store.create ~config (Option.get p)) pastries in
+  let entries () = Array.map Dht_store.stored_entries stores in
+  let rng = Rng.create 9 in
+  let checked = ref 0 in
+  ignore
+    (Env.thread envs.(0) (fun () ->
+         for kk = 1 to keys do
+           let key = Printf.sprintf "key-%d" kk in
+           let e0 = entries () in
+           Dht_store.warm_put stores ~key ~value:"warm";
+           let e1 = entries () in
+           let warm = List.filter (fun i -> e1.(i) > e0.(i)) (List.init n Fun.id) in
+           let kid = Crypto.hash_to_id key ~bits:32 in
+           let d i =
+             let id = ring.(i).Node.id in
+             min (Misc.ring_distance id kid ~modulus:md) (Misc.ring_distance kid id ~modulus:md)
+           in
+           let by_distance = List.sort (fun a b -> compare (d a, a) (d b, b)) (List.init n Fun.id) in
+           let closest = List.sort compare (Misc.take 3 by_distance) in
+           Alcotest.(check (list int)) "warm set is the 3 closest members" closest warm;
+           let acks = Dht_store.put stores.(Rng.int rng n) ~key ~value:"routed" in
+           Alcotest.(check int) "routed put acknowledged by every replica" 3 acks;
+           Alcotest.(check bool) "routed put lands on the warm set" true (entries () = e1);
+           incr checked
+         done));
+  ignore (Engine.run eng);
+  (match Engine.crashed eng with [] -> () | (_, e) :: _ -> raise e);
+  Alcotest.(check int) "every key checked" keys !checked
 
 (* {2 Bounded generator footprint: O(1) words per idle client} *)
 
@@ -210,6 +266,7 @@ let () =
         [
           Alcotest.test_case "accounting" `Quick test_harness_accounting;
           Alcotest.test_case "web target" `Quick test_harness_web_target;
+          Alcotest.test_case "warm start matches routing" `Quick test_warm_start_matches_routing;
         ] );
       ( "optimizations",
         [
