@@ -92,6 +92,13 @@ live-smoke:
 	scripts/live_smoke.sh
 	@echo "live-smoke: OK"
 
+# Deterministic-output gate for the benchmark: seed 0 of flood, serve_dht
+# and churn must print the digests pinned in scripts/perfbench_digests.txt.
+# A pin changes only with a CHANGES.md entry explaining the move.
+perfbench-digests:
+	scripts/check_perfbench_digests.sh
+	@echo "perfbench-digests: OK"
+
 # End-to-end tracing demo: run a traced Chord deployment, then verify the
 # analyzer extracts a non-empty RPC critical path from the dump.
 trace-demo:
@@ -102,4 +109,4 @@ trace-demo:
 	  | tee /dev/stderr | grep -q "rpc\."
 	@echo "trace-demo: OK (critical path extracted)"
 
-.PHONY: all check test bench bench-smoke bench-scale-smoke bench-obs-smoke bench-par-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke
+.PHONY: all check test bench bench-smoke bench-scale-smoke bench-obs-smoke bench-par-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke perfbench-digests

@@ -15,14 +15,31 @@ let compare_by_id a b = Int.compare a.id b.id
 let to_value n =
   Codec.Assoc [ ("id", Codec.Int n.id); ("a", Codec.String (Addr.to_string n.addr)) ]
 
+let bad_address () = raise (Codec.Parse_error "bad node address")
+
+(* The decimal number in [s.[i] .. s.[stop - 1]], accumulated onto [acc]:
+   ASCII digits only, so no sign, radix prefix or underscore slips
+   through, and no overflow. *)
+let rec decimal s i stop acc =
+  if i = stop then acc
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9' as c ->
+        let d = Char.code c - 48 in
+        if acc > (max_int - d) / 10 then bad_address ();
+        decimal s (i + 1) stop ((acc * 10) + d)
+    | _ -> bad_address ()
+
+(* "host:port", each part one or more digits. *)
+let addr_of_string s =
+  let len = String.length s in
+  match String.index s ':' with
+  | c when c > 0 && c < len - 1 -> Addr.make (decimal s 0 c 0) (decimal s (c + 1) len 0)
+  | _ | (exception Not_found) -> bad_address ()
+
 let of_value v =
   let id = Codec.to_int (Codec.member "id" v) in
-  match String.split_on_char ':' (Codec.to_string (Codec.member "a" v)) with
-  | [ h; p ] -> (
-      match (int_of_string_opt h, int_of_string_opt p) with
-      | Some h, Some p -> { id; addr = Addr.make h p }
-      | _ -> raise (Codec.Parse_error "bad node address"))
-  | _ -> raise (Codec.Parse_error "bad node address")
+  { id; addr = addr_of_string (Codec.to_string (Codec.member "a" v)) }
 
 let opt_to_value = function None -> Codec.Null | Some n -> to_value n
 

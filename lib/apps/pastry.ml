@@ -61,15 +61,16 @@ let table_entries t =
   |> List.concat_map (fun row -> Array.to_list row |> List.filter_map Fun.id)
 
 let modulus t = Misc.pow2 t.cfg.bits
-let dist_cw t a b = Misc.ring_distance a b ~modulus:(modulus t)
-let dist t a b = min (dist_cw t a b) (dist_cw t b a)
+(* [Misc.ring_distance] for a power-of-two modulus: a mask, not a division. *)
+let dist_cw t a b = (b - a) land (modulus t - 1)
+let dist t a b = Int.min (dist_cw t a b) (dist_cw t b a)
 
 let digit t key row = (key lsr (t.cfg.bits - (t.cfg.b * (row + 1)))) land ((1 lsl t.cfg.b) - 1)
 
-let shared_prefix t a b =
-  let nd = digits t.cfg in
-  let rec go row = if row < nd && digit t a row = digit t b row then go (row + 1) else row in
-  go 0
+let rec shared_prefix_from t nd a b row =
+  if row < nd && digit t a row = digit t b row then shared_prefix_from t nd a b (row + 1) else row
+
+let shared_prefix t a b = shared_prefix_from t (digits t.cfg) a b 0
 
 let rtt t n = Net.base_rtt t.env.Env.net t.self.Node.addr.Addr.host n.Node.addr.Addr.host
 
@@ -83,25 +84,49 @@ let all_known t =
 let now t = Splay_sim.Engine.now (Env.engine t.env)
 
 let certified_dead t n =
-  match Hashtbl.find_opt t.dead n.Node.id with
-  | Some expiry when now t < expiry -> true
-  | Some _ ->
+  match Hashtbl.find t.dead n.Node.id with
+  | exception Not_found -> false
+  | expiry when now t < expiry -> true
+  | _ ->
       Hashtbl.remove t.dead n.Node.id;
       false
-  | None -> false
+
+(* [learn] and [decide] run for every Pastry message, so the helpers below
+   walk the leafset halves in place: no closures, no sorting, no copies. *)
+
+let rec mem n = function [] -> false | x :: rest -> Node.equal x n || mem n rest
+
+(* Distance from self to [id] going away from self on one side of the
+   ring: clockwise for the right half, counter-clockwise for the left. *)
+let side_dist t ~right id =
+  if right then dist_cw t t.self.Node.id id else dist_cw t id t.self.Node.id
+
+(* Index of the first member at least [d] away: where a node at distance
+   [d] goes in a half sorted nearest first. *)
+let rec insert_pos t ~right d i = function
+  | x :: rest when side_dist t ~right x.Node.id < d -> insert_pos t ~right d (i + 1) rest
+  | _ -> i
+
+(* [n] at index [pos] of [lst], keeping the first [keep] members. *)
+let rec insert_at n pos keep lst =
+  if pos = 0 then n :: Misc.take (keep - 1) lst
+  else match lst with x :: rest -> x :: insert_at n (pos - 1) (keep - 1) rest | [] -> [ n ]
+
+(* Equal to [List.sort] by distance (stable, so [n] lands before the
+   members it ties with) on [n :: lst], then [take half]; [lst] comes back
+   physically unchanged when [n] is already in it or falls past [half]. *)
+let insert_half t ~right ~half n lst =
+  if mem n lst then lst
+  else
+    let pos = insert_pos t ~right (side_dist t ~right n.Node.id) 0 lst in
+    if pos >= half then lst else insert_at n pos half lst
 
 let learn t n =
   if (not (Node.equal n t.self)) && n.Node.id <> t.self.Node.id && not (certified_dead t n)
   then begin
     let half = t.cfg.leaf_size / 2 in
-    let insert lst ~d =
-      if List.exists (Node.equal n) lst then lst
-      else
-        List.sort (fun a b -> Int.compare (d a.Node.id) (d b.Node.id)) (n :: lst)
-        |> Misc.take half
-    in
-    t.right <- insert t.right ~d:(fun i -> dist_cw t t.self.Node.id i);
-    t.left <- insert t.left ~d:(fun i -> dist_cw t i t.self.Node.id);
+    t.right <- insert_half t ~right:true ~half n t.right;
+    t.left <- insert_half t ~right:false ~half n t.left;
     let row = shared_prefix t t.self.Node.id n.Node.id in
     if row < digits t.cfg then begin
       let col = digit t n.Node.id row in
@@ -152,20 +177,27 @@ let acall t n proc args =
       suspect t n;
       Error ()
 
+let rec last_id default = function [] -> default | x :: rest -> last_id x.Node.id rest
+
 (* Is the key within the span of our leafset? If so the owner is the
    numerically closest node among leafset + self. *)
 let leafset_covers t key =
   match (t.left, t.right) with
   | [], [] -> true
   | _ ->
-      let leftmost = match List.rev t.left with l :: _ -> l.Node.id | [] -> t.self.Node.id in
-      let rightmost = match List.rev t.right with r :: _ -> r.Node.id | [] -> t.self.Node.id in
+      let leftmost = last_id t.self.Node.id t.left in
+      let rightmost = last_id t.self.Node.id t.right in
       Misc.between key leftmost rightmost ~modulus:(modulus t) ~incl_lo:true ~incl_hi:true
 
-let closest_among t key nodes =
-  List.fold_left
-    (fun best n -> if dist t n.Node.id key < dist t best.Node.id key then n else best)
-    t.self nodes
+(* The member of [nodes] closest to [key] that is not in [excluded], or
+   [best] when none is strictly closer; [bd] is [best]'s distance. *)
+let rec closest_usable t key excluded best bd = function
+  | [] -> best
+  | n :: rest ->
+      let d = dist t n.Node.id key in
+      if d < bd && not (mem n excluded) then
+        closest_usable t key excluded n d rest
+      else closest_usable t key excluded best bd rest
 
 type decision = Deliver | Forward of Node.t
 
@@ -173,16 +205,17 @@ type decision = Deliver | Forward of Node.t
    failed for this message (dead, or reported no route), so alternates are
    tried instead of looping on them. *)
 let decide ?(excluded = []) t key =
-  let usable n = not (List.exists (Node.equal n) excluded) in
   if leafset_covers t key then begin
-    let owner = closest_among t key (List.filter usable (leafset t)) in
-    if Node.equal owner t.self then Deliver else Forward owner
+    let self = t.self in
+    let best = closest_usable t key excluded self (dist t self.Node.id key) t.left in
+    let owner = closest_usable t key excluded best (dist t best.Node.id key) t.right in
+    if Node.equal owner self then Deliver else Forward owner
   end
   else begin
     let l = shared_prefix t t.self.Node.id key in
     let slot =
       match if l < digits t.cfg then t.table.(l).(digit t key l) else None with
-      | Some n when usable n -> Some n
+      | Some n when not (mem n excluded) -> Some n
       | _ -> None
     in
     match slot with
@@ -192,21 +225,24 @@ let decide ?(excluded = []) t key =
            numerically closer to the key *)
         let my_d = dist t t.self.Node.id key in
         let better n =
-          usable n
+          (not (mem n excluded))
           && (not (Node.equal n t.self))
           && shared_prefix t n.Node.id key >= l
           && dist t n.Node.id key < my_d
         in
         (match List.filter better (all_known t) with
         | [] -> Deliver (* best effort: nobody better is known *)
-        | cands -> Forward (closest_among t key cands))
+        | cands -> Forward (closest_usable t key [] t.self my_d cands))
   end
 
 (* The one replica-placement rule: routing answers it at delivery and
-   warm starts read it off the owner directly. *)
+   warm starts read it off the owner directly. A plain lookup (k = 1)
+   needs no sort. *)
 let replica_set t key ~k =
-  let d n = (dist t n.Node.id key, n.Node.id) in
-  t.self :: Misc.take (k - 1) (List.sort_uniq (fun a b -> compare (d a) (d b)) (leafset t))
+  if k <= 1 then [ t.self ]
+  else
+    let d n = (dist t n.Node.id key, n.Node.id) in
+    t.self :: Misc.take (k - 1) (List.sort_uniq (fun a b -> compare (d a) (d b)) (leafset t))
 
 let max_hops = 64
 

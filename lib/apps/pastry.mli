@@ -65,6 +65,13 @@ val replica_set : node -> int -> k:int -> Node.t list
     ring, the [k] nodes closest to the key while [k - 1 <= leaf_size/2]
     — PAST's replica placement. Pure (no network). *)
 
+val learn : node -> Node.t -> unit
+(** Incorporate a peer, as join replies, leafset exchanges and announces
+    do: each leafset half keeps its [leaf_size/2] nearest members by ring
+    distance on its side, nearest first, and the peer's routing-table slot
+    is filled (or taken over by a lower-RTT candidate under [proximity]).
+    Self and ids with a live death certificate are ignored. No network. *)
+
 val digits : config -> int
 (** Rows in the routing table ([bits / b]). *)
 

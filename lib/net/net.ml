@@ -109,16 +109,19 @@ let count_drop t =
   t.n_dropped <- t.n_dropped + 1;
   Obs.incr c_drops
 
+let count_sent t size =
+  t.n_sent <- t.n_sent + 1;
+  t.n_bytes <- t.n_bytes + size;
+  Obs.incr c_msgs;
+  Obs.add c_obs_bytes size
+
 (* The compact (struct-of-arrays) variant of the send path below: same
    store-and-forward model, same counter/observability behavior, but every
    per-host load is an unboxed array index instead of a record field, and
    propagation comes from the testbed's latency model — O(1) and stateless,
    which is what keeps million-host sends cheap. *)
-let send_compact t c ?(size = 256) ?loss ~src ~dst payload =
-  t.n_sent <- t.n_sent + 1;
-  t.n_bytes <- t.n_bytes + size;
-  Obs.incr c_msgs;
-  Obs.add c_obs_bytes size;
+let send_compact t c ~size ?loss ~src ~dst payload =
+  count_sent t size;
   let sh = src.Addr.host and dh = dst.Addr.host in
   if
     Bytes.unsafe_get c.Testbed.Compact.up_bits sh = '\000'
@@ -170,11 +173,8 @@ let send_compact t c ?(size = 256) ?loss ~src ~dst payload =
    a transfer occupies the uplink for size/bw_up starting when the uplink
    frees, propagates, then occupies the downlink. This is what makes links
    saturate under bulk transfers (Fig. 13). *)
-let send_classic t ?(size = 256) ?loss ~src ~dst payload =
-  t.n_sent <- t.n_sent + 1;
-  t.n_bytes <- t.n_bytes + size;
-  Obs.incr c_msgs;
-  Obs.add c_obs_bytes size;
+let send_classic t ~size ?loss ~src ~dst payload =
+  count_sent t size;
   let hs = Testbed.host t.tb src.Addr.host in
   if (not hs.Testbed.up) || partitioned t src.Addr.host dst.Addr.host then count_drop t
   else begin
@@ -218,10 +218,20 @@ let send_classic t ?(size = 256) ?loss ~src ~dst payload =
     end
   end
 
-let send t ?size ?loss ~src ~dst payload =
-  match t.cmp with
-  | Some c -> send_compact t c ?size ?loss ~src ~dst payload
-  | None -> send_classic t ?size ?loss ~src ~dst payload
+(* A host id outside the testbed (a forged or corrupt address) is dropped
+   like a send to an unbound port, before either path indexes per-host
+   state with it. *)
+let send t ?(size = 256) ?loss ~src ~dst payload =
+  let n = Testbed.size t.tb in
+  let sh = src.Addr.host and dh = dst.Addr.host in
+  if sh < 0 || sh >= n || dh < 0 || dh >= n then begin
+    count_sent t size;
+    count_drop t
+  end
+  else
+    match t.cmp with
+    | Some c -> send_compact t c ~size ?loss ~src ~dst payload
+    | None -> send_classic t ~size ?loss ~src ~dst payload
 
 let set_remote t ~local ~route =
   if t.cmp = None then invalid_arg "Net.set_remote: synthetic (compact) testbed required";

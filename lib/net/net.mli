@@ -43,8 +43,9 @@ val send : t -> ?size:int -> ?loss:float -> src:Addr.t -> dst:Addr.t -> payload 
 (** Fire-and-forget datagram. [size] in bytes (default 256, a small control
     message) governs transmission time through the bandwidth queues; [loss]
     overrides the global loss probability for this message. Messages from or
-    to a down host, or to an unbound port, are silently dropped — exactly
-    the failure model protocols must tolerate. *)
+    to a down host, to an unbound port, or from or to a host id outside the
+    testbed are silently dropped (and counted in [messages_dropped]) —
+    exactly the failure model protocols must tolerate. *)
 
 val set_partition : t -> (Addr.host_id -> int) -> unit
 (** Split the network: messages between hosts mapped to different groups

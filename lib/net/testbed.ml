@@ -242,12 +242,12 @@ let latency t = t.lat
 
 let host_up t id =
   match t.cmp with
-  | Some c -> Bytes.unsafe_get c.Compact.up_bits id <> '\000'
+  | Some c -> Bytes.get c.Compact.up_bits id <> '\000'
   | None -> t.all.(id).up
 
 let set_host_up t id up =
   match t.cmp with
-  | Some c -> Bytes.unsafe_set c.Compact.up_bits id (if up then '\001' else '\000')
+  | Some c -> Bytes.set c.Compact.up_bits id (if up then '\001' else '\000')
   | None -> t.all.(id).up <- up
 
 let euclid (x1, y1) (x2, y2) =

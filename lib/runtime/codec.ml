@@ -77,16 +77,15 @@ let encode v =
 
 let escaped_length s =
   let n = ref 2 (* quotes *) in
-  String.iter
-    (fun c ->
-      n :=
-        !n
-        +
-        match c with
-        | '"' | '\\' | '\n' | '\r' | '\t' -> 2
-        | c when Char.code c < 0x20 -> 6 (* \uXXXX *)
-        | _ -> 1)
-    s;
+  for i = 0 to String.length s - 1 do
+    n :=
+      !n
+      +
+      match String.unsafe_get s i with
+      | '"' | '\\' | '\n' | '\r' | '\t' -> 2
+      | c when Char.code c < 0x20 -> 6 (* \uXXXX *)
+      | _ -> 1
+  done;
   !n
 
 let int_length i =

@@ -1,7 +1,17 @@
-(* SHA-1 per RFC 3174. Operates on Int32 words; message length < 2^32 bits
-   is ample for identifiers and cache keys. *)
+(* SHA-1 per RFC 3174. The 32-bit words live in native ints masked to 32
+   bits, so the compression loop allocates nothing. Needs 63-bit ints: a
+   rotated word stays below 2^62. *)
 
-let rotl32 x n = Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n))
+let mask = 0xFFFF_FFFF
+
+let rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask
+
+let byte buf p = Char.code (Bytes.unsafe_get buf p)
+
+let put_word out i v =
+  for j = 0 to 3 do
+    Bytes.unsafe_set out ((4 * i) + j) (Char.unsafe_chr ((v lsr (8 * (3 - j))) land 0xFF))
+  done
 
 let sha1 msg =
   let len = String.length msg in
@@ -11,73 +21,61 @@ let sha1 msg =
   let buf = Bytes.make padded_len '\000' in
   Bytes.blit_string msg 0 buf 0 len;
   Bytes.set buf len '\x80';
-  let bitlen = Int64.of_int (len * 8) in
+  let bitlen = len * 8 in
   for i = 0 to 7 do
-    Bytes.set buf
-      (padded_len - 1 - i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bitlen (8 * i)) 0xFFL)))
+    Bytes.set buf (padded_len - 1 - i) (Char.unsafe_chr ((bitlen lsr (8 * i)) land 0xFF))
   done;
-  let h0 = ref 0x67452301l
-  and h1 = ref 0xEFCDAB89l
-  and h2 = ref 0x98BADCFEl
-  and h3 = ref 0x10325476l
-  and h4 = ref 0xC3D2E1F0l in
-  let w = Array.make 80 0l in
+  let h0 = ref 0x67452301
+  and h1 = ref 0xEFCDAB89
+  and h2 = ref 0x98BADCFE
+  and h3 = ref 0x10325476
+  and h4 = ref 0xC3D2E1F0 in
+  let w = Array.make 80 0 in
   let nblocks = padded_len / 64 in
   for block = 0 to nblocks - 1 do
     let base = block * 64 in
     for i = 0 to 15 do
-      let b j = Int32.of_int (Char.code (Bytes.get buf (base + (4 * i) + j))) in
+      let p = base + (4 * i) in
       w.(i) <-
-        Int32.logor
-          (Int32.shift_left (b 0) 24)
-          (Int32.logor
-             (Int32.shift_left (b 1) 16)
-             (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
+        (byte buf p lsl 24) lor (byte buf (p + 1) lsl 16) lor (byte buf (p + 2) lsl 8)
+        lor byte buf (p + 3)
     done;
     for i = 16 to 79 do
-      w.(i) <- rotl32 (Int32.logxor (Int32.logxor w.(i - 3) w.(i - 8)) (Int32.logxor w.(i - 14) w.(i - 16))) 1
+      w.(i) <- rotl32 (w.(i - 3) lxor w.(i - 8) lxor w.(i - 14) lxor w.(i - 16)) 1
     done;
     let a = ref !h0 and b = ref !h1 and c = ref !h2 and d = ref !h3 and e = ref !h4 in
     for i = 0 to 79 do
-      let f, k =
-        if i < 20 then
-          (Int32.logor (Int32.logand !b !c) (Int32.logand (Int32.lognot !b) !d), 0x5A827999l)
-        else if i < 40 then (Int32.logxor !b (Int32.logxor !c !d), 0x6ED9EBA1l)
-        else if i < 60 then
-          ( Int32.logor
-              (Int32.logand !b !c)
-              (Int32.logor (Int32.logand !b !d) (Int32.logand !c !d)),
-            0x8F1BBCDCl )
-        else (Int32.logxor !b (Int32.logxor !c !d), 0xCA62C1D6l)
+      let f =
+        if i < 20 then (!b land !c) lor (lnot !b land !d)
+        else if i < 40 || i >= 60 then !b lxor !c lxor !d
+        else (!b land !c) lor (!b land !d) lor (!c land !d)
       in
-      let tmp = Int32.add (Int32.add (Int32.add (Int32.add (rotl32 !a 5) f) !e) k) w.(i) in
+      let k =
+        if i < 20 then 0x5A827999
+        else if i < 40 then 0x6ED9EBA1
+        else if i < 60 then 0x8F1BBCDC
+        else 0xCA62C1D6
+      in
+      let tmp = (rotl32 !a 5 + f + !e + k + w.(i)) land mask in
       e := !d;
       d := !c;
       c := rotl32 !b 30;
       b := !a;
       a := tmp
     done;
-    h0 := Int32.add !h0 !a;
-    h1 := Int32.add !h1 !b;
-    h2 := Int32.add !h2 !c;
-    h3 := Int32.add !h3 !d;
-    h4 := Int32.add !h4 !e
+    h0 := (!h0 + !a) land mask;
+    h1 := (!h1 + !b) land mask;
+    h2 := (!h2 + !c) land mask;
+    h3 := (!h3 + !d) land mask;
+    h4 := (!h4 + !e) land mask
   done;
   let out = Bytes.create 20 in
-  let put i v =
-    for j = 0 to 3 do
-      Bytes.set out
-        ((4 * i) + j)
-        (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v (8 * (3 - j))) 0xFFl)))
-    done
-  in
-  put 0 !h0;
-  put 1 !h1;
-  put 2 !h2;
-  put 3 !h3;
-  put 4 !h4;
-  Bytes.to_string out
+  put_word out 0 !h0;
+  put_word out 1 !h1;
+  put_word out 2 !h2;
+  put_word out 3 !h3;
+  put_word out 4 !h4;
+  Bytes.unsafe_to_string out
 
 let sha1_hex msg =
   let d = sha1 msg in

@@ -456,6 +456,103 @@ let test_pastry_assemble_routes_correctly () =
   (* assembled overlays start no maintenance: the queue must drain *)
   Alcotest.(check int) "assemble started no periodic processes" 0 (Engine.pending_events eng)
 
+(* {2 Pastry hot-path kernels against their reference definitions} *)
+
+(* A small id space, so distance ties and nodes sitting in both leafset
+   halves are common. *)
+let kernel_config = { Apps.Pastry.default_config with bits = 8 }
+
+let kernel_modulus = 1 lsl kernel_config.Apps.Pastry.bits
+
+(* One id, one node: a repeated id is the same peer learned again. *)
+let kernel_node id = Apps.Node.make ~id ~addr:(Addr.make (id mod 64) (1000 + id))
+
+(* A lone assembled node (empty leafset), to be fed with [learn]. *)
+let lone_pastry self_id =
+  let eng = Engine.create ~seed:3 () in
+  let net = Net.create eng (Testbed.synthetic ~hosts:64 (Engine.rng eng)) in
+  let self = kernel_node self_id in
+  let node = ref None in
+  Apps.Pastry.assemble ~config:kernel_config ~ring:[| self |] ~index:0
+    ~register:(fun p -> node := Some p)
+    (Env.create net ~me:self.Apps.Node.addr);
+  Option.get !node
+
+let ring_dist a b = Misc.ring_distance a b ~modulus:kernel_modulus
+
+(* Reference leafset insert: put the node in, stable sort by distance,
+   keep the nearest [half]. *)
+let ref_insert ~d ~half n lst =
+  if List.exists (Apps.Node.equal n) lst then lst
+  else
+    List.sort (fun a b -> Int.compare (d a.Apps.Node.id) (d b.Apps.Node.id)) (n :: lst)
+    |> Misc.take half
+
+(* Reference replica set: self, then the leafset sorted and deduplicated
+   by (distance, id) under polymorphic compare, cut to [k - 1]. *)
+let ref_replica_set self leafset key ~k =
+  let dist i = Int.min (ring_dist i key) (ring_dist key i) in
+  let d n = (dist n.Apps.Node.id, n.Apps.Node.id) in
+  self :: Misc.take (k - 1) (List.sort_uniq (fun a b -> compare (d a) (d b)) leafset)
+
+let prop_pastry_learn_and_replica_set =
+  QCheck.Test.make ~name:"learn = sort + take half; replica_set = sort_uniq + take" ~count:300
+    QCheck.(
+      triple (int_bound (kernel_modulus - 1))
+        (list_of_size Gen.(0 -- 40) (int_bound (kernel_modulus - 1)))
+        (* k past the leafset size, up to max_int, as a peer's p.route may send *)
+        (oneof [ int_range 1 9; int_range 17 40; always max_int ]))
+    (fun (self_id, ids, k) ->
+      let p = lone_pastry self_id in
+      let half = kernel_config.Apps.Pastry.leaf_size / 2 in
+      let left = ref [] and right = ref [] in
+      let leafset_ok =
+        List.for_all
+          (fun id ->
+            let n = kernel_node id in
+            Apps.Pastry.learn p n;
+            if id <> self_id then begin
+              right := ref_insert ~d:(fun i -> ring_dist self_id i) ~half n !right;
+              left := ref_insert ~d:(fun i -> ring_dist i self_id) ~half n !left
+            end;
+            List.equal Apps.Node.equal (Apps.Pastry.leafset p) (!left @ !right))
+          ids
+      in
+      leafset_ok
+      && List.for_all
+           (fun key ->
+             List.equal Apps.Node.equal
+               (Apps.Pastry.replica_set p key ~k)
+               (ref_replica_set (kernel_node self_id) (!left @ !right) key ~k))
+           (List.init kernel_modulus Fun.id))
+
+let prop_node_value_roundtrip =
+  QCheck.Test.make ~name:"Node.of_value (to_value n) = n, also through the wire" ~count:1000
+    QCheck.(triple int (oneof [ small_nat; pos_int ]) (oneof [ small_nat; pos_int ]))
+    (fun (id, host, port) ->
+      let n = Apps.Node.make ~id ~addr:(Addr.make host port) in
+      Apps.Node.equal n (Apps.Node.of_value (Apps.Node.to_value n))
+      && Apps.Node.equal n (Apps.Node.of_value (Codec.decode (Codec.encode (Apps.Node.to_value n)))))
+
+(* Node addresses arrive from other processes on the live backend: only
+   "digits:digits" may become an address. *)
+let test_node_of_value_addresses () =
+  let parse a = Apps.Node.of_value (Codec.Assoc [ ("id", Codec.Int 7); ("a", Codec.String a) ]) in
+  List.iter
+    (fun (a, host, port) ->
+      let n = parse a in
+      Alcotest.(check (pair int int)) a (host, port) (n.Apps.Node.addr.Addr.host, n.Apps.Node.addr.Addr.port))
+    [ ("0:0", 0, 0); ("12:9000", 12, 9000); ("007:010", 7, 10) ];
+  List.iter
+    (fun a ->
+      match parse a with
+      | exception Codec.Parse_error _ -> ()
+      | _ -> Alcotest.failf "%S accepted as a node address" a)
+    [
+      "-3:9000"; "3:-9000"; "0x10:1"; "+5:1"; "1_0:2"; ""; ":"; "1:"; ":1"; "1:2:3"; " 1:2"; "1 :2";
+      "1:2 "; "12"; "99999999999999999999:1"; "1:99999999999999999999";
+    ]
+
 (* {2 Cyclon} *)
 
 let test_cyclon_mixes () =
@@ -1105,6 +1202,9 @@ let () =
           Alcotest.test_case "proximity tables" `Quick test_pastry_proximity_prefers_close_entries;
           Alcotest.test_case "assemble routes correctly" `Quick
             test_pastry_assemble_routes_correctly;
+          Alcotest.test_case "node address parsing" `Quick test_node_of_value_addresses;
+          QCheck_alcotest.to_alcotest prop_pastry_learn_and_replica_set;
+          QCheck_alcotest.to_alcotest prop_node_value_roundtrip;
         ] );
       ("cyclon", [ Alcotest.test_case "mixes and stays connected" `Quick test_cyclon_mixes ]);
       ( "epidemic",

@@ -249,6 +249,19 @@ let prop_latency_uniform_range =
       let d = Latency.delay l a (a + 1) in
       d >= lo /. 2.0 && d < hi /. 2.0)
 
+let prop_addr_to_string =
+  QCheck.Test.make ~name:"Addr.to_string = sprintf \"%d:%d\"" ~count:1000
+    QCheck.(pair (oneof [ small_nat; pos_int ]) (oneof [ small_nat; pos_int ]))
+    (fun (host, port) ->
+      String.equal (Addr.to_string (Addr.make host port)) (Printf.sprintf "%d:%d" host port))
+
+let test_addr_to_string_edges () =
+  List.iter
+    (fun (h, p) ->
+      Alcotest.(check string) "printf form" (Printf.sprintf "%d:%d" h p)
+        (Addr.to_string (Addr.make h p)))
+    [ (0, 0); (9, 10); (10, 9); (99, 100); (max_int, max_int); (-1, 5); (5, -12); (min_int, 0) ]
+
 let test_latency_uniform_mean () =
   (* hash draws are uniform: the sample mean over many pairs must sit
      near the distribution mean, (lo+hi)/2 RTT = (lo+hi)/4 one-way *)
@@ -325,6 +338,36 @@ let test_testbed_synthetic_end_to_end () =
   match !got with
   | [ (0, 5, t) ] -> Alcotest.(check bool) "delivered after positive delay" true (t > 0.0)
   | _ -> Alcotest.fail "expected exactly one delivery"
+
+let test_net_host_out_of_range () =
+  (* a send naming a host id outside the testbed is dropped and counted on
+     both send paths; the compact one used to index its per-host arrays
+     unchecked and crash the process *)
+  let hosts = 100 in
+  List.iter
+    (fun (kind, make) ->
+      let eng = Engine.create ~seed:5 () in
+      let net = Net.create eng (make (Engine.rng eng)) in
+      let got = ref 0 in
+      Net.bind net (Addr.make 1 9) (fun ~src:_ _ -> incr got);
+      List.iter
+        (fun (src, dst) -> Net.send net ~src:(Addr.make src 1) ~dst:(Addr.make dst 9) (Probe 1))
+        [ (0, hosts); (0, -1); (hosts, 1); (-1, 1); (0, 100_000) ];
+      Net.send net ~src:(Addr.make 0 1) ~dst:(Addr.make 1 9) (Probe 2);
+      ignore (Engine.run eng);
+      Alcotest.(check int) (kind ^ ": sent") 6 (Net.messages_sent net);
+      Alcotest.(check int) (kind ^ ": dropped") 5 (Net.messages_dropped net);
+      Alcotest.(check int) (kind ^ ": in-range send still delivered") 1 !got;
+      List.iter
+        (fun h ->
+          match Net.host_up net h with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s: host_up %d answered" kind h)
+        [ hosts; -1 ])
+    [
+      ("classic", fun rng -> Testbed.cluster ~n:hosts rng);
+      ("synthetic", fun rng -> Testbed.synthetic ~hosts rng);
+    ]
 
 let test_latency_of_fn () =
   (* wrap replayed measurement data: the model answers exactly what the
@@ -415,6 +458,9 @@ let () =
           Alcotest.test_case "partition" `Quick test_net_partition;
           Alcotest.test_case "bind conflicts" `Quick test_net_bind_conflicts;
           Alcotest.test_case "rtt estimate" `Quick test_net_rtt_estimate;
+          Alcotest.test_case "host out of range" `Quick test_net_host_out_of_range;
+          Alcotest.test_case "addr to_string edges" `Quick test_addr_to_string_edges;
+          QCheck_alcotest.to_alcotest prop_addr_to_string;
         ] );
       ( "latency",
         [

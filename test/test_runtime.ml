@@ -80,6 +80,63 @@ let test_sha1_block_boundaries () =
   check (String.make 64 'a') "0098ba824b5c16427bd7a1122a5a442a25ec644d";
   check (String.make 65 'a') "11655326c708d70319be2610e8a57d9a5b959d3b"
 
+(* Reference SHA-1: a direct RFC 3174 transcription on boxed [Int32]
+   words, which [Crypto.sha1]'s masked native ints must match. *)
+let ref_sha1 msg =
+  let rotl32 x n = Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n)) in
+  let len = String.length msg in
+  let padded_len = ((len + 1 + 8 + 63) / 64) * 64 in
+  let buf = Bytes.make padded_len '\000' in
+  Bytes.blit_string msg 0 buf 0 len;
+  Bytes.set buf len '\x80';
+  let bitlen = Int64.of_int (len * 8) in
+  for i = 0 to 7 do
+    Bytes.set buf
+      (padded_len - 1 - i)
+      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bitlen (8 * i)) 0xFFL)))
+  done;
+  let h = [| 0x67452301l; 0xEFCDAB89l; 0x98BADCFEl; 0x10325476l; 0xC3D2E1F0l |] in
+  let w = Array.make 80 0l in
+  for block = 0 to (padded_len / 64) - 1 do
+    for i = 0 to 15 do
+      let b j = Int32.of_int (Char.code (Bytes.get buf ((block * 64) + (4 * i) + j))) in
+      w.(i) <-
+        Int32.logor
+          (Int32.shift_left (b 0) 24)
+          (Int32.logor (Int32.shift_left (b 1) 16) (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
+    done;
+    for i = 16 to 79 do
+      w.(i) <-
+        rotl32 (Int32.logxor (Int32.logxor w.(i - 3) w.(i - 8)) (Int32.logxor w.(i - 14) w.(i - 16))) 1
+    done;
+    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) and e = ref h.(4) in
+    for i = 0 to 79 do
+      let f, k =
+        if i < 20 then (Int32.logor (Int32.logand !b !c) (Int32.logand (Int32.lognot !b) !d), 0x5A827999l)
+        else if i < 40 then (Int32.logxor !b (Int32.logxor !c !d), 0x6ED9EBA1l)
+        else if i < 60 then
+          (Int32.logor (Int32.logand !b !c) (Int32.logor (Int32.logand !b !d) (Int32.logand !c !d)), 0x8F1BBCDCl)
+        else (Int32.logxor !b (Int32.logxor !c !d), 0xCA62C1D6l)
+      in
+      let tmp = Int32.add (Int32.add (Int32.add (Int32.add (rotl32 !a 5) f) !e) k) w.(i) in
+      e := !d;
+      d := !c;
+      c := rotl32 !b 30;
+      b := !a;
+      a := tmp
+    done;
+    List.iteri (fun i x -> h.(i) <- Int32.add h.(i) x) [ !a; !b; !c; !d; !e ]
+  done;
+  String.init 20 (fun i ->
+      Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical h.(i / 4) (8 * (3 - (i mod 4)))) 0xFFl)))
+
+(* 0-300 bytes crosses the 55/56-byte padding edge and the 64-byte block
+   edge several times. *)
+let prop_sha1_matches_int32_reference =
+  QCheck.Test.make ~name:"sha1 = Int32 reference" ~count:500
+    QCheck.(string_of_size Gen.(0 -- 300))
+    (fun s -> String.equal (Crypto.sha1 s) (ref_sha1 s))
+
 let test_hash_to_id_range () =
   for i = 0 to 200 do
     let id = Crypto.hash_to_id (Printf.sprintf "host-%d:2000" i) ~bits:24 in
@@ -761,6 +818,7 @@ let qsuite =
       prop_codec_roundtrip;
       prop_framing_roundtrip;
       prop_encoded_size;
+      prop_sha1_matches_int32_reference;
     ]
 
 
