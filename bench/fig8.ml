@@ -14,7 +14,7 @@ let run () =
     Common.with_platform ~seed:8 (Platform.Cluster 1) (fun p ->
         let ctl = Platform.controller p in
         let daemon = List.hd (Platform.daemons p) in
-        let host = Testbed.host (Platform.testbed p) (Daemon.host daemon) in
+        let tb = Platform.testbed p and host = Daemon.host daemon in
         let config =
           {
             Apps.Pastry.default_config with
@@ -30,7 +30,7 @@ let run () =
           let mem_per_inst =
             Float.of_int (Daemon.memory_used daemon) /. Float.of_int (max 1 n) /. 1048576.0
           in
-          let swapping = host.Testbed.service_mult > 2.0 in
+          let swapping = Testbed.service_mult tb host > 2.0 in
           if swapping && !swap_at = None then swap_at := Some n;
           rows :=
             [

@@ -14,8 +14,9 @@
      through a bounded-memory Sink.sketch, as a million-sample exact
      collector would defeat the point.
 
-   Every run uses the compact testbed (Testbed.synthetic): hash-seeded
-   O(1) latency, struct-of-arrays per-host state, no host records. The
+   Every run uses a synthetic testbed (Testbed.synthetic): hash-seeded
+   O(1) latency, link parameters shared by all hosts, ~2 words of
+   per-host state, no host records. The
    rows land in BENCH_scale.json; the 10k rows carry CI floors
    (ops/sec) and ceilings (resident words per node) checked by
    scripts/check_bench_floors.sh, so a memory regression that would push

@@ -89,21 +89,20 @@ let memory_used t =
    This is what bends the FreePastry curves in Fig. 7(b)/Fig. 8 while SPLAY,
    with its small footprint, stays flat. *)
 let refresh_host_model t =
-  let h = Testbed.host (Net.testbed t.net) t.d_host in
+  let tb = Net.testbed t.net in
   let mem = Float.of_int (memory_used t) in
-  let cap = h.Testbed.mem_mb *. 1024.0 *. 1024.0 in
+  let cap = (Testbed.host tb t.d_host).Testbed.mem_mb *. 1024.0 *. 1024.0 in
   let swap_mult = if mem > cap then 1.0 +. (60.0 *. ((mem /. cap) -. 1.0)) else 1.0 in
   let n = instance_count t in
   let cpu_mult =
     1.0 +. (t.cfg.cpu_per_instance *. Float.of_int n) +. t.cfg.contention_extra n
   in
-  h.Testbed.service_mult <- swap_mult *. cpu_mult
+  Testbed.set_service_mult tb t.d_host (swap_mult *. cpu_mult)
 
 let load t =
-  let h = Testbed.host (Net.testbed t.net) t.d_host in
   let n = Float.of_int (instance_count t) in
   let base = n *. t.cfg.cpu_per_instance in
-  if h.Testbed.service_mult > 1.5 then base +. (n *. 0.002) else base
+  if Testbed.service_mult (Net.testbed t.net) t.d_host > 1.5 then base +. (n *. 0.002) else base
 
 let find_inst t port = List.find_opt (fun i -> i.inst_env.Env.me.Addr.port = port) t.insts
 

@@ -5,13 +5,13 @@
    one synthetic testbed + [Net.t] per partition, and the routing glue
    that turns a cross-partition [Net.send] into a mailbox post.
 
-   Host state partitions cleanly because the compact testbed is
-   struct-of-arrays indexed by host id and each side of a transfer only
-   touches its own host's slots: partition [i]'s copy carries the
-   authoritative uplink-busy clock for hosts homed on [i] (senders live
-   there) and the authoritative downlink-busy clock for the same hosts
-   (receivers live there too — [deliver_remote] runs on the
-   destination's home partition). The other partitions' copies of those
+   Host state partitions cleanly because a testbed's data-plane state
+   ([Testbed.Links]) is struct-of-arrays indexed by host id, and each
+   side of a transfer only touches its own host's slots: partition [i]'s
+   copy carries the authoritative uplink-busy clock for hosts homed on
+   [i] (senders live there) and the authoritative downlink-busy clock for
+   the same hosts (receivers live there too — [deliver_remote] runs on
+   the destination's home partition). The other partitions' copies of those
    slots simply stay at zero. The only globally-visible bit, host
    liveness, is fanned out to every copy by {!set_host_up}.
 
@@ -32,7 +32,7 @@ type t = {
 
 let part_of t h = h mod t.parts
 
-let create ?(seed = 42) ?latency ?bw ?proc_cost ?mem_mb ~hosts ~parts () =
+let create ?(seed = 42) ?latency ~hosts ~parts () =
   if parts < 1 then invalid_arg "Fabric.create: parts must be >= 1";
   if hosts < 1 then invalid_arg "Fabric.create: hosts must be >= 1";
   let lat =
@@ -53,8 +53,7 @@ let create ?(seed = 42) ?latency ?bw ?proc_cost ?mem_mb ~hosts ~parts () =
   let par = Par.create ~seed ~lookahead:look ~parts () in
   let tbs =
     Array.init parts (fun i ->
-        Testbed.synthetic ~latency:lat ?bw ?proc_cost ?mem_mb ~hosts
-          (Engine.rng (Par.engine par i)))
+        Testbed.synthetic ~latency:lat ~hosts (Engine.rng (Par.engine par i)))
   in
   let nets = Array.init parts (fun i -> Net.create (Par.engine par i) tbs.(i)) in
   let t = { par; tbs; nets; parts; hosts } in

@@ -16,19 +16,11 @@
 
 type t
 
-val create :
-  ?seed:int ->
-  ?latency:Latency.t ->
-  ?bw:float ->
-  ?proc_cost:float ->
-  ?mem_mb:float ->
-  hosts:int ->
-  parts:int ->
-  unit ->
-  t
-(** Build [parts] partitions over [hosts] hosts. [latency] defaults to
-    [Latency.synthetic] seeded from [seed]; [bw]/[proc_cost]/[mem_mb]
-    are passed to each {!Testbed.synthetic}. @raise Invalid_argument if
+val create : ?seed:int -> ?latency:Latency.t -> hosts:int -> parts:int -> unit -> t
+(** Build [parts] partitions over [hosts] hosts, each on a
+    {!Testbed.synthetic} copy with the default bandwidth and processing
+    cost. [latency] defaults to [Latency.synthetic] seeded from [seed].
+    @raise Invalid_argument if
     the latency model answers [min_rtt = None] or zero (Lognormal
     distributions, or {!Latency.of_fn} without its [~min_rtt] argument,
     cannot bound lookahead) — run those sequentially instead. *)

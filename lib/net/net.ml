@@ -44,9 +44,7 @@ type remote = {
 type t = {
   eng : Engine.t;
   tb : Testbed.t;
-  cmp : Testbed.Compact.t option;
-      (* struct-of-arrays state when [tb] is a synthetic testbed; checked
-         once at creation so the send path dispatches on a field load *)
+  links : Testbed.Links.t;
   handlers : handler AddrTbl.t;
   net_rng : Rng.t;
   mutable loss : float;
@@ -62,7 +60,7 @@ let create eng tb =
   {
     eng;
     tb;
-    cmp = Testbed.compact tb;
+    links = Testbed.links tb;
     handlers = AddrTbl.create 1024;
     net_rng = Rng.split (Testbed.rng tb);
     loss = 0.0;
@@ -115,156 +113,79 @@ let count_sent t size =
   Obs.incr c_msgs;
   Obs.add c_obs_bytes size
 
-(* The compact (struct-of-arrays) variant of the send path below: same
-   store-and-forward model, same counter/observability behavior, but every
-   per-host load is an unboxed array index instead of a record field, and
-   propagation comes from the testbed's latency model — O(1) and stateless,
-   which is what keeps million-host sends cheap. *)
-let send_compact t c ~size ?loss ~src ~dst payload =
-  count_sent t size;
-  let sh = src.Addr.host and dh = dst.Addr.host in
-  if
-    Bytes.unsafe_get c.Testbed.Compact.up_bits sh = '\000'
-    || partitioned t sh dh
-  then count_drop t
-  else begin
-    let p = match loss with Some p -> p | None -> t.loss in
-    if p > 0.0 && Rng.chance t.net_rng p then count_drop t
-    else begin
-      let traced = !Obs.enabled in
-      let now = Engine.now t.eng in
-      let sz = Float.of_int size in
-      let tx_up = sz /. c.Testbed.Compact.bw_up in
-      let up_busy = c.Testbed.Compact.up_busy in
-      let start_up = Float.max now (Array.unsafe_get up_busy sh) in
-      Array.unsafe_set up_busy sh (start_up +. tx_up);
-      let propagation = Latency.delay c.Testbed.Compact.lat sh dh in
-      let arrival = start_up +. tx_up +. propagation in
-      match t.remote with
-      | Some r when not (r.r_local dh) ->
-          (* sender-side half done; the destination partition applies its
-             own downlink/processing model when the mailbox drains *)
-          let mctx = if traced then Obs.current () else Obs.null_ctx in
-          r.r_route ~src ~dst ~size ~arrival ~up_wait:(start_up -. now) ~ctx:mctx payload
-      | _ ->
-          let tx_down = sz /. c.Testbed.Compact.bw_down in
-          let down_busy = c.Testbed.Compact.down_busy in
-          let start_down = Float.max arrival (Array.unsafe_get down_busy dh) in
-          Array.unsafe_set down_busy dh (start_down +. tx_down);
-          let deliver_at = start_down +. tx_down +. c.Testbed.Compact.proc_cost in
-          let deliver_at =
-            if t.extra_delay > 0.0 then deliver_at +. t.extra_delay else deliver_at
-          in
-          if traced || !Obs.metrics_enabled then
-            Obs.observe h_link_wait ((start_up -. now) +. (start_down -. arrival));
-          let mctx = if traced then Obs.current () else Obs.null_ctx in
-          ignore
-            (Engine.schedule_at t.eng ~at:deliver_at (fun () ->
-                 if traced then Obs.set_current mctx;
-                 if Bytes.unsafe_get c.Testbed.Compact.up_bits dh = '\000' then count_drop t
-                 else
-                   match AddrTbl.find_opt t.handlers dst with
-                   | None -> count_drop t
-                   | Some h -> h ~src payload))
-    end
-  end
+(* A link parameter of host [id]; the caller has range-checked [id]. *)
+let[@inline] param p id =
+  match p with Testbed.Links.Shared v -> v | Per_host a -> Array.unsafe_get a id
+
+(* Receiver half of the store-and-forward model, shared by a local send and
+   a message routed in from another partition: the transfer occupies the
+   destination's downlink from when the last byte arrives (or the downlink
+   frees), then pays the host's processing cost. The sender's trace
+   context [ctx] travels with the message (the wire-level counterpart of
+   the RPC envelope's ctx field): delivery runs under it, so receiver-side
+   spans join the sender's causal trace for any payload, not just RPC. *)
+let receive t ~size ~src ~dst ~arrival ~up_wait ~ctx payload =
+  let l = t.links and dh = dst.Addr.host in
+  let tx_down = Float.of_int size /. param l.bw_down dh in
+  let start_down = Float.max arrival (Array.unsafe_get l.down_busy dh) in
+  Array.unsafe_set l.down_busy dh (start_down +. tx_down);
+  let deliver_at = start_down +. tx_down +. (param l.proc_base dh *. param l.mult dh) in
+  (* delay-burst nemesis: a flat add-on past the bandwidth queues, so it
+     slows delivery without occupying the links *)
+  let deliver_at = if t.extra_delay > 0.0 then deliver_at +. t.extra_delay else deliver_at in
+  let traced = !Obs.enabled in
+  if traced || !Obs.metrics_enabled then
+    Obs.observe h_link_wait (up_wait +. (start_down -. arrival));
+  ignore
+    (Engine.schedule_at t.eng ~at:deliver_at (fun () ->
+         if traced then Obs.set_current ctx;
+         if Bytes.unsafe_get l.up_bits dh = '\000' then count_drop t
+         else
+           match AddrTbl.find_opt t.handlers dst with
+           | None -> count_drop t
+           | Some h -> h ~src payload))
 
 (* Store-and-forward through sender uplink and receiver downlink queues:
    a transfer occupies the uplink for size/bw_up starting when the uplink
    frees, propagates, then occupies the downlink. This is what makes links
-   saturate under bulk transfers (Fig. 13). *)
-let send_classic t ~size ?loss ~src ~dst payload =
+   saturate under bulk transfers (Fig. 13). A host id outside the testbed
+   (a forged or corrupt address) is dropped like a send to an unbound
+   port, before anything indexes per-host state with it. *)
+let send t ?(size = 256) ?loss ~src ~dst payload =
   count_sent t size;
-  let hs = Testbed.host t.tb src.Addr.host in
-  if (not hs.Testbed.up) || partitioned t src.Addr.host dst.Addr.host then count_drop t
+  let l = t.links in
+  let n = Bytes.length l.up_bits in
+  let sh = src.Addr.host and dh = dst.Addr.host in
+  if sh < 0 || sh >= n || dh < 0 || dh >= n then count_drop t
+  else if Bytes.unsafe_get l.up_bits sh = '\000' || partitioned t sh dh then count_drop t
   else begin
     let p = match loss with Some p -> p | None -> t.loss in
     if p > 0.0 && Rng.chance t.net_rng p then count_drop t
     else begin
-      let traced = !Obs.enabled in
       let now = Engine.now t.eng in
-      let sz = Float.of_int size in
-      let tx_up = sz /. hs.Testbed.bw_up in
-      let start_up = Float.max now hs.Testbed.up_busy in
-      hs.Testbed.up_busy <- start_up +. tx_up;
-      let hd = Testbed.host t.tb dst.Addr.host in
-      let propagation = Testbed.delay_h t.tb hs hd in
-      let arrival = start_up +. tx_up +. propagation in
-      let tx_down = sz /. hd.Testbed.bw_down in
-      let start_down = Float.max arrival hd.Testbed.down_busy in
-      hd.Testbed.down_busy <- start_down +. tx_down;
-      let processing = Testbed.proc_cost_h hd in
-      let deliver_at = start_down +. tx_down +. processing in
-      (* delay-burst nemesis: a flat add-on past the bandwidth queues, so
-         it slows delivery without occupying the links *)
-      let deliver_at = if t.extra_delay > 0.0 then deliver_at +. t.extra_delay else deliver_at in
-      if traced || !Obs.metrics_enabled then
-        Obs.observe h_link_wait ((start_up -. now) +. (start_down -. arrival));
-      (* The sender's trace context travels with the message (the
-         wire-level counterpart of the RPC envelope's ctx field): delivery
-         runs under it, so receiver-side spans join the sender's causal
-         trace for any payload, not just RPC. With tracing off, skip both
-         the capture and the receiver-side restore — the context is pinned
-         to [null_ctx] then, so there is nothing to propagate. *)
-      let mctx = if traced then Obs.current () else Obs.null_ctx in
-      ignore
-        (Engine.schedule_at t.eng ~at:deliver_at (fun () ->
-             if traced then Obs.set_current mctx;
-             if not hd.Testbed.up then count_drop t
-             else
-               match AddrTbl.find_opt t.handlers dst with
-               | None -> count_drop t
-               | Some h -> h ~src payload))
+      let tx_up = Float.of_int size /. param l.bw_up sh in
+      let start_up = Float.max now (Array.unsafe_get l.up_busy sh) in
+      Array.unsafe_set l.up_busy sh (start_up +. tx_up);
+      let arrival = start_up +. tx_up +. Testbed.delay t.tb sh dh in
+      let up_wait = start_up -. now in
+      (* with tracing off the context is pinned to [null_ctx]: nothing to
+         capture or restore *)
+      let ctx = if !Obs.enabled then Obs.current () else Obs.null_ctx in
+      match t.remote with
+      | Some r when not (r.r_local dh) ->
+          (* sender-side half done; the destination partition applies its
+             own downlink/processing model when the mailbox drains *)
+          r.r_route ~src ~dst ~size ~arrival ~up_wait ~ctx payload
+      | _ -> receive t ~size ~src ~dst ~arrival ~up_wait ~ctx payload
     end
   end
 
-(* A host id outside the testbed (a forged or corrupt address) is dropped
-   like a send to an unbound port, before either path indexes per-host
-   state with it. *)
-let send t ?(size = 256) ?loss ~src ~dst payload =
-  let n = Testbed.size t.tb in
-  let sh = src.Addr.host and dh = dst.Addr.host in
-  if sh < 0 || sh >= n || dh < 0 || dh >= n then begin
-    count_sent t size;
-    count_drop t
-  end
-  else
-    match t.cmp with
-    | Some c -> send_compact t c ~size ?loss ~src ~dst payload
-    | None -> send_classic t ~size ?loss ~src ~dst payload
+let set_remote t ~local ~route = t.remote <- Some { r_local = local; r_route = route }
 
-let set_remote t ~local ~route =
-  if t.cmp = None then invalid_arg "Net.set_remote: synthetic (compact) testbed required";
-  t.remote <- Some { r_local = local; r_route = route }
-
-(* Receiver-side half of a routed send: runs on the destination
-   partition's engine at the message's arrival time. Mirrors the tail of
-   [send_compact] — downlink queueing against THIS net's busy array,
-   processing cost, then liveness/handler checks at delivery. *)
+(* Receiver half of a routed send: runs on the destination partition's
+   engine at the message's arrival time, against THIS net's link state. *)
 let deliver_remote t ?(size = 256) ~src ~dst ~up_wait ~ctx payload =
-  match t.cmp with
-  | None -> invalid_arg "Net.deliver_remote: synthetic (compact) testbed required"
-  | Some c ->
-      let dh = dst.Addr.host in
-      let arrival = Engine.now t.eng in
-      let sz = Float.of_int size in
-      let tx_down = sz /. c.Testbed.Compact.bw_down in
-      let down_busy = c.Testbed.Compact.down_busy in
-      let start_down = Float.max arrival (Array.unsafe_get down_busy dh) in
-      Array.unsafe_set down_busy dh (start_down +. tx_down);
-      let deliver_at = start_down +. tx_down +. c.Testbed.Compact.proc_cost in
-      let deliver_at = if t.extra_delay > 0.0 then deliver_at +. t.extra_delay else deliver_at in
-      let traced = !Obs.enabled in
-      if traced || !Obs.metrics_enabled then
-        Obs.observe h_link_wait (up_wait +. (start_down -. arrival));
-      ignore
-        (Engine.schedule_at t.eng ~at:deliver_at (fun () ->
-             if traced then Obs.set_current ctx;
-             if Bytes.unsafe_get c.Testbed.Compact.up_bits dh = '\000' then count_drop t
-             else
-               match AddrTbl.find_opt t.handlers dst with
-               | None -> count_drop t
-               | Some h -> h ~src payload))
+  receive t ~size ~src ~dst ~arrival:(Engine.now t.eng) ~up_wait ~ctx payload
 
 let messages_sent t = t.n_sent
 let bytes_sent t = t.n_bytes

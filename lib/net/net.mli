@@ -76,7 +76,7 @@ val messages_dropped : t -> int
 (** {1 Cross-partition routing — the parallel engine's hook}
 
     Under {!Fabric}, each partition owns a [Net.t] over its own copy of
-    the (synthetic) testbed state. A send whose destination host lives
+    the testbed state. A send whose destination host lives
     on another partition runs only the sender-side half of the
     store-and-forward model here — uplink queueing and propagation — and
     is handed to [route]; the destination partition completes it with
@@ -102,8 +102,7 @@ val set_remote :
     reaches the destination's downlink (uplink wait + transmission +
     propagation — at least the latency model's lookahead in the future),
     [up_wait] the uplink queueing already incurred (for the link-wait
-    histogram), [ctx] the sender's trace context. Requires a synthetic
-    (compact) testbed. *)
+    histogram), [ctx] the sender's trace context. *)
 
 val deliver_remote :
   t ->
@@ -118,4 +117,4 @@ val deliver_remote :
     destination partition's net at the message's [arrival] time (Fabric
     does this from a {!Splay_sim.Par} mailbox). Applies downlink
     queueing, processing cost, then the usual liveness/handler checks at
-    delivery. *)
+    delivery — the same receiver half a local {!send} runs. *)

@@ -7,14 +7,20 @@
     answer a 20 KB probe within 250 ms; over 45% need more than 1 s).
     ModelNet hosts attach to a {!Topology.t} transit-stub graph. Cluster
     hosts sit on a 1 Gbps switched LAN. Mixed testbeds combine PlanetLab and
-    ModelNet hosts, crossing a WAN gateway. *)
+    ModelNet hosts, crossing a WAN gateway. {!synthetic} testbeds model a
+    million identical hosts.
+
+    Every testbed keeps its data-plane state — liveness, link clocks, link
+    parameters, the latency model — in one struct-of-arrays {!Links.t}, so
+    the network has one send path for all of them. The PlanetLab,
+    ModelNet, cluster and mixed testbeds also keep one immutable {!host}
+    record per host for the control plane; synthetic testbeds keep none. *)
 
 type kind = Planetlab | Modelnet | Cluster
 
 type host = {
   id : Addr.host_id;
   kind : kind;
-  mutable up : bool;
   coord : float * float; (* virtual coordinates, seconds of one-way delay *)
   load_factor : float; (* >= 1, multiplies per-message processing cost *)
   slowness : float; (* mean of the heavy-tailed service time (seconds) *)
@@ -22,11 +28,32 @@ type host = {
   bw_down : float;
   stub : Topology.router; (* attachment for Modelnet/Cluster hosts *)
   mem_mb : float;
-  mutable up_busy : float; (* uplink busy-until (absolute seconds) *)
-  mutable down_busy : float;
-  mutable service_mult : float; (* contention multiplier, raised by the daemon model *)
   host_rng : Splay_sim.Rng.t;
 }
+(** A host's immutable control-plane profile (what the controller selects
+    on, what the daemon's memory model reads). Everything the data plane
+    mutates — liveness, link clocks, the contention multiplier — lives in
+    {!Links}. *)
+
+(** The data-plane state every testbed keeps, struct-of-arrays indexed by
+    host id: what {!Net.send} reads and writes per message. *)
+module Links : sig
+  (** A link parameter: one value every host shares, or one per host.
+      Synthetic testbeds share (their hosts are identical); record
+      testbeds keep one value per host. *)
+  type param = Shared of float | Per_host of float array
+
+  type t = {
+    up_bits : Bytes.t;  (** 1 byte per host; 0 = down *)
+    up_busy : float array;  (** per-host uplink busy-until, unboxed *)
+    down_busy : float array;
+    bw_up : param;  (** uplink bandwidth, bytes/second *)
+    bw_down : param;
+    proc_base : param;  (** per-message processing cost before contention, seconds *)
+    mult : param;  (** contention multiplier on [proc_base] (see {!set_service_mult}) *)
+    lat : Latency.t;  (** base one-way delays between hosts *)
+  }
+end
 
 type t
 
@@ -44,97 +71,69 @@ val mixed : planetlab:int -> modelnet:int -> Splay_sim.Rng.t -> t
 (** PlanetLab hosts first (ids [0 .. planetlab-1]), then ModelNet hosts. *)
 
 val synthetic :
-  ?latency:Latency.t ->
-  ?bw:float ->
-  ?proc_cost:float ->
-  ?mem_mb:float ->
-  hosts:int ->
-  Splay_sim.Rng.t ->
-  t
+  ?latency:Latency.t -> ?bw:float -> ?proc_cost:float -> hosts:int -> Splay_sim.Rng.t -> t
 (** Million-host backend: no per-host records at all. Base delays come
     from the {!Latency.t} model ([latency] defaults to
-    [Latency.synthetic ~seed:(a draw from the rng)]), every host shares
-    the same [bw] (default 10 Mbps, in bytes/second) and [proc_cost]
-    (default 0.1 ms), and the only per-host state is the pair of
-    link-busy clocks (two unboxed floats) plus one up/down bit — a few
-    words per host instead of a few hundred, which is what lets a single
-    simulated deployment reach 10^6 hosts. Hosts never jitter (delays are
-    the model's stable answers), and {!host} / {!hosts} raise
-    [Invalid_argument]: there are no records to hand out. *)
+    [Latency.synthetic ~seed:(a draw from the rng)]), and every host
+    shares the same [bw] (default 10 Mbps, in bytes/second) and
+    [proc_cost] (default 0.1 ms), so {!Links} holds them once: the only
+    per-host state is the pair of link-busy clocks (two unboxed floats)
+    plus one up/down byte — a few words per host instead of a few
+    hundred, which is what lets a single simulated deployment reach 10^6
+    hosts. Hosts never jitter (delays are the model's stable answers), and
+    {!host}, {!hosts}, {!with_extra_host}, {!service_delay} and
+    {!set_service_mult} raise [Invalid_argument]: there are no records to
+    hand out. *)
 
-(** Struct-of-arrays storage behind {!synthetic} testbeds. The network
-    send path indexes these arrays directly by host id — the compact
-    counterpart of the [host]-record fast path. *)
-module Compact : sig
-  type t = {
-    n : int;
-    lat : Latency.t;
-    up_bits : Bytes.t;  (** 1 byte per host; 0 = down *)
-    bw_up : float;  (** shared uplink bandwidth, bytes/second *)
-    bw_down : float;
-    up_busy : float array;  (** per-host uplink busy-until, unboxed *)
-    down_busy : float array;
-    proc_cost : float;  (** shared per-message processing cost, seconds *)
-    mem_mb : float;
-    c_rng : Splay_sim.Rng.t;  (** control-plane service-time stream *)
-  }
-end
-
-val compact : t -> Compact.t option
-(** The struct-of-arrays state when this is a {!synthetic} testbed. *)
-
-val latency : t -> Latency.t option
-(** The latency model this testbed routes pair delays through: the
-    {!Latency.matrix} over its topology for emulated (ModelNet) testbeds,
-    the configured model for {!synthetic} ones, [None] where delays are
-    derived from coordinates or constants (PlanetLab, Cluster). *)
+val links : t -> Links.t
+(** The data-plane state. {!Net} indexes it directly on every send. *)
 
 val host_up : t -> Addr.host_id -> bool
 
 val set_host_up : t -> Addr.host_id -> bool -> unit
-(** Up/down flag, uniform over record-backed and compact testbeds. *)
+(** Up/down flag of a host. *)
 
 val with_extra_host : t -> t * Addr.host_id
 (** Append one well-provisioned LAN-class host — where the trusted
     controller processes run. Returns the extended testbed and the new
-    host's id (always the last index). *)
+    host's id (always the last index). The result's data-plane state
+    (liveness, link clocks, contention multipliers) is fresh and
+    independent of the input's: changes to one do not show in the other,
+    so keep using only the result (the input is good for its {!size}).
+    @raise Invalid_argument on {!synthetic} testbeds. *)
 
 val size : t -> int
 
 val host : t -> Addr.host_id -> host
 val hosts : t -> host array
 (** Raise [Invalid_argument] on {!synthetic} testbeds, which keep no
-    per-host records — use {!host_up}, {!base_delay} and {!compact}. *)
+    per-host records — use {!host_up}, {!base_delay} and {!links}. *)
 
 val rng : t -> Splay_sim.Rng.t
 
 val base_delay : t -> Addr.host_id -> Addr.host_id -> float
 (** Stable one-way propagation delay (no jitter); what a proximity-aware
-    protocol can estimate by pinging. *)
+    protocol can estimate by pinging. It is the answer of the testbed's
+    [Links.lat] model. *)
 
 val delay : t -> Addr.host_id -> Addr.host_id -> float
-(** One-way propagation delay for one message: {!base_delay} plus jitter
-    (PlanetLab hosts only; emulated and LAN links are stable). *)
-
-val delay_h : t -> host -> host -> float
-(** {!delay} keyed by host records — the send path already holds both
-    endpoints for the link queues, so this skips the id lookups. Draws
-    from the same RNG stream in the same order as {!delay}. *)
+(** One-way propagation delay for one message: {!base_delay} times a
+    lognormal jitter draw from the testbed's RNG when either end is a
+    PlanetLab host (emulated and LAN links are stable). *)
 
 val service_delay : t -> Addr.host_id -> float
 (** Draw a host service time for a control-plane request (process fork,
     probe answer): exponential with the host's [slowness] mean, scaled by
-    its contention multiplier. *)
+    its contention multiplier. @raise Invalid_argument on {!synthetic}
+    testbeds. *)
 
 val service_mult : t -> Addr.host_id -> float
-(** Contention multiplier for application service time, uniform over
-    representations: per-host record where one exists, 1.0 on
+(** Contention multiplier of a host: it scales the host's per-message
+    processing cost and its control-plane service time. 1.0 on
     {!synthetic} testbeds (which model contention in the network layer
     only). *)
 
-val proc_cost : t -> Addr.host_id -> float
-(** Per-message processing cost on this host for data-plane traffic:
-    sub-millisecond, scaled by [load_factor] and [service_mult]. *)
-
-val proc_cost_h : host -> float
-(** {!proc_cost} keyed by the host record (no lookup, no RNG). *)
+val set_service_mult : t -> Addr.host_id -> float -> unit
+(** Set a host's contention multiplier (the daemon's memory and CPU
+    model raises it). @raise Invalid_argument on {!synthetic} testbeds,
+    whose hosts share one multiplier. *)

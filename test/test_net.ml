@@ -318,7 +318,7 @@ let test_latency_matrix_equals_topology () =
     stubs
 
 let test_testbed_synthetic_end_to_end () =
-  (* the compact backend drives a real delivery: hash-seeded delays in,
+  (* the synthetic backend drives a real delivery: hash-seeded delays in,
      message out, and base_delay answers stay stable and symmetric *)
   let eng = Engine.create ~seed:33 () in
   let tb = Testbed.synthetic ~hosts:100_000 (Engine.rng eng) in
@@ -340,9 +340,9 @@ let test_testbed_synthetic_end_to_end () =
   | _ -> Alcotest.fail "expected exactly one delivery"
 
 let test_net_host_out_of_range () =
-  (* a send naming a host id outside the testbed is dropped and counted on
-     both send paths; the compact one used to index its per-host arrays
-     unchecked and crash the process *)
+  (* a send naming a host id outside the testbed is dropped and counted
+     under both link-parameter layouts, before anything indexes per-host
+     state with it (an unchecked index once crashed the process) *)
   let hosts = 100 in
   List.iter
     (fun (kind, make) ->
@@ -365,8 +365,68 @@ let test_net_host_out_of_range () =
           | _ -> Alcotest.failf "%s: host_up %d answered" kind h)
         [ hosts; -1 ])
     [
-      ("classic", fun rng -> Testbed.cluster ~n:hosts rng);
-      ("synthetic", fun rng -> Testbed.synthetic ~hosts rng);
+      ("per-host (cluster)", fun rng -> Testbed.cluster ~n:hosts rng);
+      ("shared-parameter (synthetic)", fun rng -> Testbed.synthetic ~hosts rng);
+    ];
+  (* synthetic hosts share one contention multiplier: it reads 1.0 and
+     cannot be raised per host *)
+  let tb = Testbed.synthetic ~hosts (Rng.create 5) in
+  Alcotest.(check (float 0.0)) "synthetic service_mult" 1.0 (Testbed.service_mult tb 3);
+  match Testbed.set_service_mult tb 3 2.0 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "set_service_mult on a synthetic testbed did not raise"
+
+(* Delivery times on the record-backed testbeds the perfbench digests do
+   not reach: ModelNet (matrix latency), mixed (PlanetLab<->ModelNet
+   through the WAN gateway, with jitter) and PlanetLab. Two hosts run with
+   a raised service multiplier, so the processing cost's [mult] factor is
+   in the digest too. The constants pin the exact floats; a change to the
+   send path that moves any delivery time by one ulp fails here. *)
+let test_net_record_delivery_pinned () =
+  List.iter
+    (fun (kind, make, (slow1, slow2), expect) ->
+      let eng = Engine.create ~seed:61 () in
+      let tb = make (Engine.rng eng) in
+      Testbed.set_service_mult tb slow1 3.0;
+      Testbed.set_service_mult tb slow2 1.75;
+      let net = Net.create eng tb in
+      let n = Testbed.size tb in
+      let buf = Buffer.create 8192 in
+      for h = 0 to n - 1 do
+        Net.bind net (Addr.make h 9) (fun ~src payload ->
+            match payload with
+            | Probe k ->
+                Buffer.add_string buf
+                  (Printf.sprintf "%d %d>%d %h\n" k src.Addr.host h (Engine.now eng))
+            | _ -> ())
+      done;
+      let pick = Rng.create 62 in
+      for k = 0 to 199 do
+        let src = Rng.int pick n and dst = Rng.int pick n in
+        let size = 64 + Rng.int pick 60_000 in
+        let at = Rng.float pick 2.0 in
+        ignore
+          (Engine.schedule_at eng ~at (fun () ->
+               Net.send net ~size ~src:(Addr.make src 1) ~dst:(Addr.make dst 9) (Probe k)))
+      done;
+      ignore (Engine.run eng);
+      Alcotest.(check int) (kind ^ ": sent") 200 (Net.messages_sent net);
+      Alcotest.(check int) (kind ^ ": none dropped") 0 (Net.messages_dropped net);
+      Alcotest.(check string) (kind ^ ": delivery-time digest") expect
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    [
+      ( "modelnet",
+        (fun rng -> Testbed.modelnet ~hosts:30 rng),
+        (1, 2),
+        "b359108013275873f4b36988a02151f2" );
+      ( "mixed",
+        (fun rng -> Testbed.mixed ~planetlab:10 ~modelnet:10 rng),
+        (1, 12),
+        "e725f66ddfbcde0c646a0ea3cddf10e7" );
+      ( "planetlab",
+        (fun rng -> Testbed.planetlab ~n:20 rng),
+        (3, 4),
+        "adb06c25e4763ed5d98784751d5a2d89" );
     ]
 
 let test_latency_of_fn () =
@@ -390,7 +450,7 @@ let test_latency_of_fn () =
     (Testbed.base_delay tb 3 903)
 
 let test_synthetic_down_up_at_scale () =
-  (* host down/up on the compact struct-of-arrays testbed, at a size where
+  (* host down/up on the synthetic (shared-parameter) testbed, at a size where
      per-host records would be prohibitive: sends to (or from) a down host
      drop silently, restart resumes delivery, and the one-bit state never
      materialises host records *)
@@ -459,6 +519,8 @@ let () =
           Alcotest.test_case "bind conflicts" `Quick test_net_bind_conflicts;
           Alcotest.test_case "rtt estimate" `Quick test_net_rtt_estimate;
           Alcotest.test_case "host out of range" `Quick test_net_host_out_of_range;
+          Alcotest.test_case "record testbed delivery pinned" `Quick
+            test_net_record_delivery_pinned;
           Alcotest.test_case "addr to_string edges" `Quick test_addr_to_string_edges;
           QCheck_alcotest.to_alcotest prop_addr_to_string;
         ] );
